@@ -40,13 +40,17 @@
 #   make bench   — campaign engine benchmark; rewrites BENCH_campaign.json
 #   make bench-smoke — CI-sized campaign bench: copy-on-write cloning
 #                  must be ≥2x replay-from-cold (both paths sped up
-#                  together — see campaignbench.rs) and all engines
-#                  byte-identical
+#                  together — see campaignbench.rs) and one-thread and
+#                  threaded reports byte-identical
+#   make bench-gate — perfbench correctness gate (≈20 s): the perfbench
+#                  tests, then one short run per workload; exits
+#                  non-zero on a report-digest mismatch against
+#                  perfbench/digests.txt
 #   make check   — everything CI runs
 
 CARGO ?= cargo
 
-.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench bench-smoke check clean
+.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench bench-smoke bench-gate check clean
 
 all: check
 
@@ -127,16 +131,27 @@ kv-smoke: build
 	$(CARGO) test -q -p pfault-kv --lib seeded_silent_poison_reproduces
 
 # Campaign engine v2 benchmark: image-clone vs replay-from-cold
-# trials/sec, engine byte-equality, scheduler utilization. `bench`
-# regenerates the committed BENCH_campaign.json; `bench-smoke` is the
-# CI-sized self-checking variant (exits non-zero unless the CoW-clone
-# speedup reaches 2x and serial/striped/stealing reports are
-# byte-identical — see crates/bench/src/bin/campaignbench.rs).
+# trials/sec, thread-count byte-equality, scheduler utilization.
+# `bench` regenerates the committed BENCH_campaign.json; `bench-smoke`
+# is the CI-sized self-checking variant (exits non-zero unless the
+# CoW-clone speedup reaches 2x and the one-thread and threaded reports
+# are byte-identical — see crates/bench/src/bin/campaignbench.rs).
 bench: build
 	./target/release/campaignbench --out BENCH_campaign.json
 
 bench-smoke: build
 	./target/release/campaignbench --smoke --out target/bench-smoke.json
+
+# The benchmark's correctness gate: each run compares its campaign
+# report with the digest in perfbench/digests.txt and exits 1 on a
+# mismatch, so a change that alters campaign results fails here.
+PERFBENCH = $(CARGO) run --release --quiet --offline --manifest-path perfbench/Cargo.toml --
+
+bench-gate:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
+	for w in paper-cold deep-image mixed-flush; do \
+		$(PERFBENCH) --workload $$w --seed 20180429 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Self-checking: the serve experiment spins up real daemons on loopback
 # sockets and exits non-zero unless every durability and backpressure
@@ -154,7 +169,7 @@ plan-smoke: build
 	./target/release/repro --exp plan --json target/plan-b.json
 	cmp target/plan-a.json target/plan-b.json
 
-check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench-smoke
+check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench-smoke bench-gate
 
 clean:
 	$(CARGO) clean

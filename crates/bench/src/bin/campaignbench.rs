@@ -7,21 +7,20 @@
 //!    the warm-up runs once and every trial copy-on-write-clones the
 //!    frozen [`pfault_ssd::DeviceImage`], versus replaying the warm-up
 //!    from a cold device inside every trial?
-//! 2. **Engine equality** — serial, statically striped, and
-//!    work-stealing runs of the same seed must produce byte-identical
-//!    reports (the scheduler is an implementation detail, never a
-//!    result).
+//! 2. **Thread-count equality** — one-thread and `--threads` runs of
+//!    the same seed must produce byte-identical reports (the scheduler
+//!    is an implementation detail, never a result).
 //! 3. **Scheduler health** — per-worker utilization and steal counts
-//!    from the work-stealing engine, plus per-engine snapshot-cache
-//!    traffic: each engine reports the hits/misses *it* caused and the
-//!    memoization state it started from, so a `0` hit count on the
-//!    first image-cloning engine reads as "ran the one warm-up" rather
-//!    than "cache never helped".
+//!    from the threaded run, plus per-run snapshot-cache traffic: each
+//!    run reports the hits/misses *it* caused and the memoization state
+//!    it started from, so a `0` hit count on the first image-cloning
+//!    run reads as "ran the one warm-up" rather than "cache never
+//!    helped".
 //!
 //! Writes `BENCH_campaign.json`. `--smoke` runs a small budget and
 //! exits nonzero unless the image-clone speedup reaches 2x, every
-//! engine/report pair is byte-identical, and the later engines start
-//! from the memoized image — wired into `make bench-smoke`.
+//! report pair is byte-identical, and the threaded run starts from the
+//! memoized image — wired into `make bench-smoke`.
 //!
 //! Usage:
 //!
@@ -116,9 +115,9 @@ fn campaign(config: &CampaignConfig, seed: u64, threads: usize, cache: bool) -> 
         .build()
 }
 
-/// One engine run, bracketed by snapshot-cache counter reads so the
-/// engine's own cache traffic (and the memoization state it started
-/// from) is attributable to it alone.
+/// One campaign run, bracketed by snapshot-cache counter reads so the
+/// run's own cache traffic (and the memoization state it started from)
+/// is attributable to it alone.
 struct EngineRun {
     report: CampaignReport,
     seconds: f64,
@@ -179,6 +178,10 @@ impl EngineRun {
     }
 }
 
+fn run(campaign: &Campaign) -> CampaignReport {
+    campaign.run_auto().expect("the bench campaign runs")
+}
+
 fn report_bytes(report: &CampaignReport) -> String {
     serde_json::to_string(report).expect("reports serialize")
 }
@@ -198,34 +201,27 @@ fn main() -> ExitCode {
     // replays the warm-up prefix against a cold device.
     snapcache::reset();
     let cold_campaign = campaign(&config, a.seed, 1, false);
-    let cold = EngineRun::measure(|| cold_campaign.run());
+    let cold = EngineRun::measure(|| run(&cold_campaign));
     let cold_tps = cold.trials_per_sec(a.trials);
     cold.describe("replay-from-cold", a.trials);
 
     // Phase 2 — image cloning: the warm-up runs once (a cache miss),
-    // every trial copy-on-write-clones the frozen image. The engine
-    // memoizes the image at campaign start, so its expected traffic is
+    // every trial copy-on-write-clones the frozen image. The campaign
+    // memoizes the image at its start, so its expected traffic is
     // exactly one miss and zero hits — the trials themselves never
     // touch the cache again.
     let snap_campaign = campaign(&config, a.seed, 1, true);
-    let snap = EngineRun::measure(|| snap_campaign.run());
+    let snap = EngineRun::measure(|| run(&snap_campaign));
     let snap_tps = snap.trials_per_sec(a.trials);
     let speedup = snap_tps / cold_tps;
     snap.describe("image-clone", a.trials);
     println!("speedup          : {speedup:.2}x over replay-from-cold");
 
-    // Phase 3 + 4 — engine equality + scheduler stats. All three
-    // engines (and both warm-up strategies above) must agree
-    // byte-for-byte; both parallel engines start from the image phase 2
-    // memoized (one hit, zero misses each).
-    let striped = EngineRun::measure(|| campaign(&config, a.seed, a.threads, true).run_parallel(a.threads));
-    striped.describe("striped", a.trials);
-    let mut sched = SchedulerStats {
-        threads: 0,
-        chunk: 0,
-        trials: 0,
-        workers: Vec::new(),
-    };
+    // Phase 3 + 4 — thread-count equality + scheduler stats. The
+    // threaded run must agree byte-for-byte with both one-thread runs
+    // above, starting from the image phase 2 memoized (one hit, zero
+    // misses).
+    let mut sched = SchedulerStats::default();
     let stealing = EngineRun::measure(|| {
         let (report, stats) =
             campaign(&config, a.seed, a.threads, true).run_stealing_with_stats(a.threads);
@@ -236,12 +232,8 @@ fn main() -> ExitCode {
 
     let baseline = report_bytes(&cold.report);
     let snap_equal = report_bytes(&snap.report) == baseline;
-    let striped_equal = report_bytes(&striped.report) == baseline;
     let stealing_equal = report_bytes(&stealing.report) == baseline;
-    println!(
-        "engine equality  : image={snap_equal} striped={striped_equal} \
-         stealing={stealing_equal}"
-    );
+    println!("report equality  : image={snap_equal} stealing={stealing_equal}");
     for w in &sched.workers {
         println!(
             "worker {:>2}       : {:3} trial(s), {:2} steal(s) ({:3} stolen), \
@@ -259,8 +251,8 @@ fn main() -> ExitCode {
         sched.total_steals(),
         sched.mean_utilization()
     );
-    // Cumulative counters after all four campaigns: the one warm-up
-    // miss from phase 2, then one hit per later campaign.
+    // Cumulative counters after all three campaigns: the one warm-up
+    // miss from phase 2, then one hit for the threaded campaign.
     let final_cache = snapcache::stats();
     println!(
         "cache cumulative : {} hit(s), {} miss(es), hit rate {:.3}",
@@ -279,7 +271,6 @@ fn main() -> ExitCode {
         "seed": a.seed,
         "replay_from_cold": cold.json(a.trials),
         "snapshot_clone": snap.json(a.trials),
-        "striped": striped.json(a.trials),
         "stealing": stealing.json(a.trials),
         "cache_after_all_engines": serde_json::json!({
             "hits": final_cache.hits,
@@ -291,7 +282,6 @@ fn main() -> ExitCode {
         "speedup": speedup,
         "reports_identical": serde_json::json!({
             "snapshot_vs_cold": snap_equal,
-            "striped_vs_serial": striped_equal,
             "stealing_vs_serial": stealing_equal,
         }),
         "scheduler": serde_json::to_value(&sched).expect("stats serialize"),
@@ -307,8 +297,8 @@ fn main() -> ExitCode {
     // speedup under --smoke (the full run reports speedup but leaves
     // judgement to the committed BENCH_campaign.json).
     let mut failed = false;
-    if !(snap_equal && striped_equal && stealing_equal) {
-        eprintln!("campaignbench failed: engines/strategies disagree on the report");
+    if !(snap_equal && stealing_equal) {
+        eprintln!("campaignbench failed: thread counts/strategies disagree on the report");
         failed = true;
     }
     // The ratio floor is 2x, not the raw ~10x the CoW rework delivered
@@ -325,24 +315,17 @@ fn main() -> ExitCode {
     }
     if a.smoke && (snap.misses != 1 || snap.started_memoized()) {
         eprintln!(
-            "campaignbench failed: the image-clone engine must run exactly one warm-up \
+            "campaignbench failed: the image-clone run must run exactly one warm-up \
              from a cold cache, saw {} miss(es), started_memoized={}",
             snap.misses,
             snap.started_memoized()
         );
         failed = true;
     }
-    if a.smoke
-        && !(striped.started_memoized()
-            && stealing.started_memoized()
-            && striped.misses == 0
-            && stealing.misses == 0)
-    {
+    if a.smoke && !(stealing.started_memoized() && stealing.misses == 0) {
         eprintln!(
-            "campaignbench failed: parallel engines must start from the memoized image \
-             (striped: {} miss(es), memoized={}; stealing: {} miss(es), memoized={})",
-            striped.misses,
-            striped.started_memoized(),
+            "campaignbench failed: the threaded run must start from the memoized image \
+             ({} miss(es), memoized={})",
             stealing.misses,
             stealing.started_memoized()
         );

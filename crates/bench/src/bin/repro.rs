@@ -7,8 +7,7 @@
 //!       [--list-exps] [--trials N] [--plan fixed:N|ci:EPS[:CONF]|split:LEVELS]
 //!       [--retries N] [--checkpoint FILE]
 //!       [--checkpoint-every K] [--resume] [--watchdog-ms N]
-//!       [--watchdog-events N] [--threads N]
-//!       [--engine auto|serial|striped|stealing] [--warmup N]
+//!       [--watchdog-events N] [--threads N] [--warmup N]
 //!       [--snapshot-cache on|off]
 //! repro serve [--addr A] [--spool DIR] [--workers N] [--queue N]
 //!       [--heartbeat-ms N] [--io-timeout-ms N] [--checkpoint-every K]
@@ -30,15 +29,16 @@
 //! nonzero if the experiment reports check failures (for example,
 //! `--exp recovery-storm` requires interrupted, resumed, and read-only
 //! outcomes; `--exp fleet` requires correlated cuts to degrade MTTDL
-//! below the independent baseline with bit-identical engine reductions;
+//! below the independent baseline, with reductions bit-identical
+//! across thread counts;
 //! `--exp sweep` requires a clean baseline sweep and a caught seeded
 //! bug). Under `--exp all` the same checks are informational.
 //!
 //! `--exp campaign` runs one raw fault-injection campaign with the
 //! resilience controls: per-trial watchdog budgets, deterministic
-//! retries, checkpoint/resume, engine selection (`--engine`,
-//! `--threads`), and warm-snapshot cloning (`--warmup`,
-//! `--snapshot-cache`). Campaigns are sized by a [`PlanSpec`]:
+//! retries, checkpoint/resume, the worker-thread count (`--threads`;
+//! the report is the same at any count), and warm-snapshot cloning
+//! (`--warmup`, `--snapshot-cache`). Campaigns are sized by a [`PlanSpec`]:
 //! `--trials N` is shorthand for `--plan fixed:N`, and
 //! `--plan ci:EPS[:CONF]` runs adaptively until the Wilson interval on
 //! the data-loss rate has half-width at most EPS. `--exp plan` is the
@@ -48,7 +48,7 @@ use std::env;
 use std::process::ExitCode;
 
 use pfault_bench::{ScaleArg, DEFAULT_SEED};
-use pfault_platform::experiments::{all, find, EngineArg, ExperimentCtx, ExperimentOpts};
+use pfault_platform::experiments::{all, find, ExperimentCtx, ExperimentOpts};
 use pfault_platform::plan::PlanSpec;
 use pfault_serve::{Client, Daemon, DaemonConfig, JobSpec, Request, Response};
 
@@ -113,16 +113,6 @@ fn main() -> ExitCode {
                 Ok(n) => opts.warmup = Some(n as usize),
                 Err(code) => return code,
             },
-            "--engine" => {
-                let v = args.next().unwrap_or_default();
-                match EngineArg::parse(&v) {
-                    Some(e) => opts.engine = e,
-                    None => {
-                        eprintln!("unknown engine '{v}' (auto|serial|striped|stealing)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--snapshot-cache" => {
                 let v = args.next().unwrap_or_default();
                 match v.as_str() {
@@ -168,8 +158,7 @@ fn main() -> ExitCode {
                      \x20     [--checkpoint FILE] [--checkpoint-every K]\n\
                      \x20     [--resume] [--watchdog-ms N] [--watchdog-events N]\n\
                      \x20     [--minimize] [--inject-crc-bug] [--metrics FILE] [--trace FILE]\n\
-                     \x20     [--threads N] [--engine auto|serial|striped|stealing] \
-                     [--warmup N] [--snapshot-cache on|off]\n\
+                     \x20     [--threads N] [--warmup N] [--snapshot-cache on|off]\n\
                      experiments: fig4 interval interval-nocache fig5 fig6 pattern \
                      fig7 fig8 fig9 table1 ablation-injector ablation-cache \
                      brownout wear flush recovery repeated recovery-storm fleet kv \
@@ -188,11 +177,11 @@ fn main() -> ExitCode {
                      planner: confidence-driven\n\
                      stopping must match a fixed-N campaign's band at >=10x fewer \
                      trials, byte-identical across\n\
-                     engines and checkpoint/resume\n\
+                     thread counts and checkpoint/resume\n\
                      campaign mode (--exp campaign, not part of 'all') runs one raw \
                      campaign with watchdog budgets,\n\
-                     deterministic retries, checkpoint/resume, --engine/--threads \
-                     selection, and --warmup snapshot cloning;\n\
+                     deterministic retries, checkpoint/resume at any --threads \
+                     count, and --warmup snapshot cloning;\n\
                      sized by --plan fixed:N|ci:EPS[:CONF] (--trials N = --plan \
                      fixed:N)\n\
                      sweep mode (--exp sweep, not part of 'all') cuts power at every \

@@ -3,13 +3,13 @@
 //! The paper's experiments each inject hundreds of faults ("more than 300
 //! power faults … during 24,000 requests"). A [`Campaign`] runs one trial
 //! per fault with an independent derived seed and aggregates the
-//! [`FailureCounts`] into a [`CampaignReport`]. Trials are independent,
-//! so the engine can distribute them: [`Campaign::run_parallel`] stripes
-//! trial indices over a fixed thread count, and [`Campaign::run_stealing`]
-//! schedules chunked batches over work-stealing workers
-//! ([`crate::scheduler`]). Every engine reduces results in canonical
-//! trial-index order, so serial, striped, and work-stealing runs of the
-//! same seed produce **byte-identical** reports.
+//! [`FailureCounts`] into a [`CampaignReport`]. There is one campaign
+//! loop, [`Campaign::execute`]: it runs the campaign's [`PlanSpec`] round
+//! by round on the work-stealing scheduler ([`crate::scheduler`]) and
+//! absorbs every trial in canonical index order, so runs of the same
+//! seed produce **byte-identical** reports at any thread count — and
+//! checkpoints, observers, pause and resume work at every thread count
+//! too.
 //!
 //! With [`TrialConfig::warmup_requests`] set, trials start from a shared
 //! warm device state. The warm-up is run once per configuration, frozen
@@ -21,9 +21,10 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use pfault_obs::Metrics;
 use pfault_sim::checksum::fnv64;
@@ -180,10 +181,10 @@ pub struct CampaignReport {
     /// Probe-derived telemetry (empty unless trials ran with
     /// [`TrialConfig::obs`]).
     pub obs: ObsAggregate,
-    /// Planner state for plan-driven runs (`None` for plain fixed
-    /// loops): per-stratum tallies, round index, and current round
-    /// targets. Living inside the report means checkpoint v6 persists
-    /// it automatically, so adaptive campaigns pause/resume
+    /// Planner state of an adaptive (`Confidence`) plan; `None` for
+    /// fixed-size campaigns: per-stratum tallies, round index, and
+    /// current round targets. Living inside the report means checkpoint
+    /// v6 persists it automatically, so adaptive campaigns pause/resume
     /// byte-identically.
     pub plan: Option<PlanState>,
 }
@@ -237,8 +238,8 @@ impl CampaignReport {
         self.failures.record(index, error);
     }
 
-    /// Absorbs one trial result exactly as the serial loop does; every
-    /// engine funnels results through this in canonical index order.
+    /// Absorbs one trial result; the campaign loop funnels results
+    /// through this in canonical index order.
     fn absorb_result(&mut self, index: u64, result: Result<TrialOutcome, TrialError>, retries: u64) {
         self.failures.retries += retries;
         match result {
@@ -272,8 +273,8 @@ impl CampaignReport {
         self.counts.io_errors as f64 / self.faults as f64
     }
 
-    /// The planner's verdict for a plan-driven run: n, p̂, intervals,
-    /// and the strata breakdown. `None` for plain fixed loops.
+    /// The planner's verdict for an adaptive run: n, p̂, intervals, and
+    /// the strata breakdown. `None` for fixed-size campaigns.
     pub fn plan_report(&self) -> Option<PlanReport> {
         self.plan.as_ref().map(PlanState::report)
     }
@@ -309,7 +310,7 @@ struct CampaignCheckpoint {
 // shape and lose the planner's round/tally state.
 const CHECKPOINT_VERSION: u32 = 6;
 
-/// Per-trial progress handed to a [`Campaign::run_observed`] observer
+/// Per-trial progress handed to an [`Exec::observer`]
 /// after the trial's result has been absorbed (and, at checkpoint
 /// boundaries, after the checkpoint hit disk — so an observer that
 /// persists progress can rely on the snapshot being durable first).
@@ -317,7 +318,9 @@ const CHECKPOINT_VERSION: u32 = 6;
 pub struct CampaignProgress<'a> {
     /// Trials absorbed so far (`1..=trials`).
     pub completed: u64,
-    /// Total trials the campaign will run.
+    /// Total trials the campaign will run (for adaptive plans, the
+    /// current round target, which grows as the planner extends the
+    /// run).
     pub trials: u64,
     /// Whether a boundary checkpoint was written just before this call.
     pub checkpointed: bool,
@@ -332,7 +335,7 @@ pub enum ProgressSignal {
     Continue,
     /// Stop after this trial. If the campaign has a checkpoint
     /// configured, the current prefix is checkpointed first, so a later
-    /// [`Campaign::resume_from`] picks up exactly here.
+    /// resume ([`Exec::resume`]) picks up exactly here.
     Pause,
 }
 
@@ -347,6 +350,23 @@ pub struct ObservedRun {
     /// `true` iff the observer returned [`ProgressSignal::Pause`]
     /// before the final trial.
     pub paused: bool,
+}
+
+/// How [`Campaign::execute`] runs. `Exec::default()` is a fresh run
+/// with no observer.
+#[derive(Default)]
+pub struct Exec<'a> {
+    /// Called after every absorbed trial, in trial order — and, at
+    /// checkpoint boundaries, after the checkpoint hit disk, so an
+    /// observer that persists progress can rely on the snapshot being
+    /// durable first. Returning [`ProgressSignal::Pause`] stops the run
+    /// (checkpointing the prefix when a checkpoint is configured).
+    pub observer: Option<&'a mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal>,
+    /// Resume from this checkpoint instead of starting fresh. The
+    /// checkpoint must match this campaign's seed, trial count, and
+    /// configuration; the final report is byte-identical to an
+    /// uninterrupted run.
+    pub resume: Option<&'a Path>,
 }
 
 /// A campaign runner. Construct via [`Campaign::builder`] (or the
@@ -385,69 +405,56 @@ struct CheckpointSpec {
 /// assert_eq!(report.faults, 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CampaignBuilder {
-    config: CampaignConfig,
-    plan: Option<PlanSpec>,
-    seed: u64,
-    retries: u32,
-    checkpoint: Option<CheckpointSpec>,
-    threads: usize,
-    snapshot_cache: bool,
-}
+pub struct CampaignBuilder(Campaign);
 
 impl CampaignBuilder {
     /// Sizes the campaign with a [`PlanSpec`] — the single sizing
-    /// surface across the workspace. `PlanSpec::fixed(n)` reproduces
-    /// the classic fixed-N loop; a confidence spec makes
-    /// [`Campaign::run_planned`] adaptive. The config's `trials` field
-    /// is set to the plan's budget so legacy readers keep a meaningful
-    /// denominator. Splitting specs are rejected at run time: whole
-    /// campaigns expose only pass/fail bits, not severities.
+    /// surface across the workspace. `PlanSpec::fixed(n)` runs exactly
+    /// n trials; a confidence spec runs adaptive rounds until the
+    /// interval is tight. The config's `trials` field is set to the
+    /// plan's budget so legacy readers keep a meaningful denominator.
+    /// Splitting specs are rejected at run time: whole campaigns expose
+    /// only pass/fail bits, not severities.
     #[must_use]
     pub fn plan(mut self, spec: PlanSpec) -> Self {
-        self.config.trials = spec.trial_budget() as usize;
-        self.plan = Some(spec);
+        self.0.config.trials = spec.trial_budget() as usize;
+        self.0.plan = Some(spec);
         self
     }
 
-    /// Pre-plan sizing API, kept for one release of compatibility.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use .plan(PlanSpec::fixed(n)); the Plan API is the single way campaigns are sized"
-    )]
-    #[must_use]
-    pub fn trials(self, n: usize) -> Self {
-        self.plan(PlanSpec::fixed(n as u64))
-    }
     /// Seeds every trial (defaults to 0).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
-    /// Worker threads for [`Campaign::run_auto`] (default 1 = serial;
-    /// clamped to ≥ 1). The thread count never changes the report — only
-    /// how fast it is produced.
+    /// Worker threads for [`Campaign::execute`] (default 1; clamped to
+    /// ≥ 1). The thread count never changes the report — only how fast
+    /// it is produced.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.0.threads = threads.max(1);
         self
     }
 
-    /// Retries each failing trial up to `retries` extra attempts (see
-    /// [`Campaign::with_retries`]).
+    /// Retries each failing trial up to `retries` extra attempts, each
+    /// with a deterministically derived fresh seed. The first attempt
+    /// always uses the original trial seed, so a campaign with zero
+    /// failures is unaffected by this setting.
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
+        self.0.retries = retries;
         self
     }
 
-    /// Writes a resumable JSON checkpoint (see
-    /// [`Campaign::with_checkpoint`]).
+    /// Writes a resumable JSON checkpoint to `path` after every `every`
+    /// completed trials (`every` is clamped to ≥ 1), at any thread
+    /// count. The write is atomic and durable
+    /// ([`crate::fsutil::write_atomic`]).
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint = Some(CheckpointSpec {
+        self.0.checkpoint = Some(CheckpointSpec {
             path: path.into(),
             every: every.max(1),
         });
@@ -461,29 +468,21 @@ impl CampaignBuilder {
     /// results, just slower.
     #[must_use]
     pub fn snapshot_cache(mut self, enabled: bool) -> Self {
-        self.snapshot_cache = enabled;
+        self.0.snapshot_cache = enabled;
         self
     }
 
     /// Finalizes the campaign.
     pub fn build(self) -> Campaign {
-        Campaign {
-            config: self.config,
-            plan: self.plan,
-            seed: self.seed,
-            retries: self.retries,
-            checkpoint: self.checkpoint,
-            threads: self.threads,
-            snapshot_cache: self.snapshot_cache,
-        }
+        self.0
     }
 }
 
 impl Campaign {
-    /// Starts a builder for `config` with the defaults: seed 0, serial,
-    /// no retries, no checkpointing, snapshot cache on.
+    /// Starts a builder for `config` with the defaults: seed 0, one
+    /// thread, no retries, no checkpointing, snapshot cache on.
     pub fn builder(config: CampaignConfig) -> CampaignBuilder {
-        CampaignBuilder {
+        CampaignBuilder(Campaign {
             config,
             plan: None,
             seed: 0,
@@ -491,7 +490,7 @@ impl Campaign {
             checkpoint: None,
             threads: 1,
             snapshot_cache: true,
-        }
+        })
     }
 
     /// Creates a campaign; `seed` determines every trial. Shorthand for
@@ -503,26 +502,6 @@ impl Campaign {
     /// The configured worker-thread count ([`CampaignBuilder::threads`]).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Retries each failing trial up to `retries` extra attempts, each
-    /// with a deterministically derived fresh seed. The first attempt
-    /// always uses the original trial seed, so a campaign with zero
-    /// failures is unaffected by this setting.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Writes a resumable JSON checkpoint to `path` after every `every`
-    /// completed trials (serial runs only; `every` is clamped to ≥ 1).
-    /// The write is atomic: a temp file is renamed over `path`.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint = Some(CheckpointSpec {
-            path: path.into(),
-            every: every.max(1),
-        });
-        self
     }
 
     fn trial_config(&self) -> TrialConfig {
@@ -608,65 +587,197 @@ impl Campaign {
         }
     }
 
-    /// Runs trials `start..trials` serially, absorbing into `report`.
-    fn run_range(
-        &self,
-        report: CampaignReport,
-        start: u64,
-    ) -> Result<CampaignReport, PlatformError> {
-        let run = self.run_range_observed(report, start, &mut |_| ProgressSignal::Continue)?;
-        Ok(run.report)
+    /// Runs the campaign: the one trial loop every run, resume, and
+    /// observed run goes through. Trials run round by round on the
+    /// work-stealing scheduler at [`CampaignBuilder::threads`] (a fixed
+    /// plan is one round; an adaptive plan runs until its interval is
+    /// tight). Each trial's result is absorbed in canonical index order,
+    /// together with the planner tally, the round-boundary decision,
+    /// boundary checkpoints, and the observer — so a paused run
+    /// checkpoints exactly the prefix a serial loop would have, and a
+    /// resumed run at any thread count is byte-identical to an
+    /// uninterrupted one.
+    ///
+    /// Trials that panic, exceed the watchdog budget, or brick the
+    /// device are retried per [`CampaignBuilder::retries`] and, if still
+    /// failing, recorded in [`CampaignReport::failures`] — the campaign
+    /// keeps going. Errors on checkpoint IO, on a checkpoint that does
+    /// not belong to this campaign, and on splitting plans.
+    pub fn execute(&self, exec: Exec<'_>) -> Result<ObservedRun, PlatformError> {
+        Ok(self.run_rounds(exec, self.threads)?.0)
     }
 
-    /// The serial trial loop with an observer in it: after every trial
-    /// the observer sees the absorbed prefix and may pause the campaign.
-    /// Boundary checkpoints are written *before* the observer runs; a
-    /// pause mid-stride checkpoints the current prefix (when configured)
-    /// so nothing completed is ever lost.
-    fn run_range_observed(
+    /// A fresh run with no observer, returning the final report.
+    pub fn run_auto(&self) -> Result<CampaignReport, PlatformError> {
+        Ok(self.execute(Exec::default())?.report)
+    }
+
+    /// A fresh run at `threads` workers, also returning the scheduler's
+    /// per-worker telemetry (trials run, steals, utilization) summed over
+    /// the rounds. The stats are wall-clock-dependent and live outside
+    /// the report so reports stay thread-count-independent.
+    ///
+    /// # Panics
+    ///
+    /// Where [`Campaign::execute`] would return an error.
+    pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
+        match self.run_rounds(Exec::default(), threads) {
+            Ok((run, stats)) => (run.report, stats),
+            Err(e) => panic!("campaign failed: {e}"),
+        }
+    }
+
+    /// The report and trial index a run starts from: empty (with fresh
+    /// planner state for adaptive plans), or the checkpointed prefix.
+    fn start(&self, resume: Option<&Path>) -> Result<(CampaignReport, u64), PlatformError> {
+        let spec = self.plan_spec();
+        if matches!(spec, PlanSpec::Splitting { .. }) {
+            return Err(PlatformError::InvalidConfig(
+                "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
+                 whole campaigns expose only pass/fail trials"
+                    .to_string(),
+            ));
+        }
+        let adaptive = matches!(spec, PlanSpec::Confidence { .. });
+        let Some(path) = resume else {
+            let mut report = CampaignReport::empty();
+            if adaptive {
+                report.plan = Some(PlanState::single(spec)?);
+            }
+            return Ok((report, 0));
+        };
+        let snapshot = self.load_checkpoint(path)?;
+        let mut report = snapshot.report;
+        if !adaptive {
+            // A fixed plan's state is redundant with `completed`; fixed
+            // reports carry none on any path.
+            report.plan = None;
+        } else if report.plan.is_none() {
+            return Err(CheckpointError::Corrupt(
+                "checkpoint carries no planner state for this adaptive plan".to_string(),
+            )
+            .into());
+        }
+        Ok((report, snapshot.completed))
+    }
+
+    /// The end of the next round, or `None` once the run is done.
+    fn round_target(
         &self,
-        mut report: CampaignReport,
-        start: u64,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
+        report: &mut CampaignReport,
+        completed: u64,
+    ) -> Result<Option<u64>, PlatformError> {
+        let Some(state) = report.plan.as_mut() else {
+            let trials = self.config.trials as u64;
+            return Ok((completed < trials).then_some(trials));
+        };
+        while !state.done && completed >= state.targets[0] {
+            state.advance()?;
+        }
+        Ok((!state.done).then(|| state.targets[0]))
+    }
+
+    fn run_rounds(
+        &self,
+        exec: Exec<'_>,
+        threads: usize,
+    ) -> Result<(ObservedRun, SchedulerStats), PlatformError> {
+        let Exec {
+            mut observer,
+            resume,
+        } = exec;
+        let (report, completed) = self.start(resume)?;
         let platform = TestPlatform::new(self.trial_config());
         let image = self.campaign_image(&platform);
-        let trials = self.config.trials as u64;
-        for i in start..trials {
-            let (result, retries_used) = self.run_one(&platform, image.as_deref(), i);
-            report.absorb_result(i, result, retries_used);
-            let completed = i + 1;
-            let mut checkpointed = false;
-            if let Some(spec) = &self.checkpoint {
-                if completed % spec.every == 0 && completed < trials {
-                    self.write_checkpoint(spec, completed, &report)?;
-                    checkpointed = true;
-                }
-            }
-            let signal = observer(CampaignProgress {
-                completed,
-                trials,
-                checkpointed,
-                report: &report,
-            });
-            if signal == ProgressSignal::Pause && completed < trials {
-                if let Some(spec) = &self.checkpoint {
-                    if !checkpointed {
-                        self.write_checkpoint(spec, completed, &report)?;
+        let mut run = RunState {
+            report,
+            completed,
+            paused: false,
+            error: None,
+        };
+        let mut stats = SchedulerStats::default();
+        while let Some(target) = self.round_target(&mut run.report, run.completed)? {
+            let (next, round) = scheduler::run_work_stealing(
+                run.completed..target,
+                threads,
+                scheduler::DEFAULT_CHUNK,
+                |i| self.run_one(&platform, image.as_deref(), i),
+                run,
+                |run, i, (result, retries_used)| {
+                    match self.absorb(run, i, result, retries_used, observer.as_deref_mut()) {
+                        Ok(false) => return ControlFlow::Continue(()),
+                        Ok(true) => run.paused = true,
+                        Err(error) => run.error = Some(error),
                     }
-                }
-                return Ok(ObservedRun {
-                    report,
-                    completed,
-                    paused: true,
-                });
+                    ControlFlow::Break(())
+                },
+            );
+            run = next;
+            stats.merge(round);
+            if let Some(error) = run.error.take() {
+                return Err(error);
+            }
+            if run.paused {
+                break;
             }
         }
-        Ok(ObservedRun {
-            report,
-            completed: trials,
-            paused: false,
-        })
+        let observed = ObservedRun {
+            report: run.report,
+            completed: run.completed,
+            paused: run.paused,
+        };
+        Ok((observed, stats))
+    }
+
+    /// Absorbs trial `index` — the in-order step of the campaign loop:
+    /// report, planner tally and round boundary, boundary checkpoint,
+    /// observer. Returns whether the observer paused the run (a pause
+    /// checkpoints the prefix when a checkpoint is configured).
+    fn absorb(
+        &self,
+        run: &mut RunState,
+        index: u64,
+        result: Result<TrialOutcome, TrialError>,
+        retries_used: u64,
+        observer: Option<&mut (dyn FnMut(CampaignProgress<'_>) -> ProgressSignal + '_)>,
+    ) -> Result<bool, PlatformError> {
+        let failed = trial_failed(&result);
+        run.report.absorb_result(index, result, retries_used);
+        let completed = index + 1;
+        run.completed = completed;
+        let (done, trials) = match run.report.plan.as_mut() {
+            None => {
+                let trials = self.config.trials as u64;
+                (completed >= trials, trials)
+            }
+            Some(state) => {
+                state.absorb(0, failed);
+                if state.round_complete() {
+                    state.advance()?;
+                }
+                (state.done, state.targets[0].max(completed))
+            }
+        };
+        let boundary = self
+            .checkpoint
+            .as_ref()
+            .filter(|spec| completed.is_multiple_of(spec.every) && !done);
+        if let Some(spec) = boundary {
+            self.write_checkpoint(spec, completed, &run.report)?;
+        }
+        let paused = observer.is_some_and(|observer| {
+            let progress = CampaignProgress {
+                completed,
+                trials,
+                checkpointed: boundary.is_some(),
+                report: &run.report,
+            };
+            observer(progress) == ProgressSignal::Pause
+        }) && !done;
+        if let Some(spec) = self.checkpoint.as_ref().filter(|_| paused && boundary.is_none()) {
+            self.write_checkpoint(spec, completed, &run.report)?;
+        }
+        Ok(paused)
     }
 
     fn write_checkpoint(
@@ -685,39 +796,8 @@ impl Campaign {
         };
         let text = serde_json::to_string(&snapshot)
             .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        let tmp = spec.path.with_extension("tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &spec.path)?;
+        crate::fsutil::write_atomic(&spec.path, text.as_bytes())?;
         Ok(())
-    }
-
-    /// Runs all trials serially. Equivalent to
-    /// [`Campaign::run_checked`] but panics on a checkpoint IO error.
-    pub fn run(&self) -> CampaignReport {
-        match self.run_checked() {
-            Ok(report) => report,
-            Err(e) => panic!("campaign failed: {e}"),
-        }
-    }
-
-    /// Runs all trials serially. Trials that panic, exceed the watchdog
-    /// budget, or brick the device are retried per
-    /// [`Campaign::with_retries`] and, if still failing, recorded in
-    /// [`CampaignReport::failures`] — the campaign itself keeps going.
-    /// Errors only on checkpoint IO problems.
-    pub fn run_checked(&self) -> Result<CampaignReport, PlatformError> {
-        self.run_range(CampaignReport::empty(), 0)
-    }
-
-    /// Resumes a serial run from a checkpoint written by
-    /// [`Campaign::with_checkpoint`]. The checkpoint must match this
-    /// campaign's seed, trial count, and configuration; the completed
-    /// prefix is taken from the snapshot and the remaining trials run
-    /// normally, so the final report is identical to an uninterrupted
-    /// [`Campaign::run_checked`].
-    pub fn resume_from(&self, path: impl AsRef<Path>) -> Result<CampaignReport, PlatformError> {
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        self.run_range(snapshot.report, snapshot.completed)
     }
 
     /// Reads and validates a checkpoint written by this campaign.
@@ -743,39 +823,6 @@ impl Campaign {
         Ok(snapshot)
     }
 
-    /// [`Campaign::run_checked`] with a per-trial observer: after every
-    /// absorbed trial (and after any boundary checkpoint has been made
-    /// durable) the observer sees the prefix report and may pause the
-    /// run. A paused campaign checkpoints its prefix (when configured)
-    /// and reports `paused = true`; resuming it later via
-    /// [`Campaign::resume_from`] / [`Campaign::resume_observed`] yields
-    /// a final report byte-identical to an uninterrupted run.
-    pub fn run_observed(
-        &self,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        self.run_range_observed(CampaignReport::empty(), 0, observer)
-    }
-
-    /// [`Campaign::resume_from`] with a per-trial observer (see
-    /// [`Campaign::run_observed`]). Only the remaining trials run; the
-    /// observer's `completed` counts include the checkpointed prefix.
-    pub fn resume_observed(
-        &self,
-        path: impl AsRef<Path>,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        self.run_range_observed(snapshot.report, snapshot.completed, observer)
-    }
-
-    /// Trials already absorbed by the checkpoint at `path`, without
-    /// running anything — daemons use this to decide where a resumed
-    /// job's result stream picks up.
-    pub fn checkpoint_completed(&self, path: impl AsRef<Path>) -> Result<u64, PlatformError> {
-        Ok(self.load_checkpoint(path.as_ref())?.completed)
-    }
-
     /// The checkpoint's `(completed, report)` pair, validated but not
     /// run — daemons use the report to reconstruct the progress record
     /// a crash may have kept out of their result journal.
@@ -786,256 +833,15 @@ impl Campaign {
         let snapshot = self.load_checkpoint(path.as_ref())?;
         Ok((snapshot.completed, snapshot.report))
     }
+}
 
-    /// Runs all trials across `threads` worker threads with static
-    /// striping (worker *w* takes trials `w, w+T, w+2T, …`). `0` is
-    /// treated as `1` and the count is capped at the trial count — extra
-    /// threads would only spin. Results are reduced in canonical trial
-    /// order, so the report is **byte-identical** to [`Campaign::run`].
-    /// Checkpointing is serial-only and ignored here.
-    pub fn run_parallel(&self, threads: usize) -> CampaignReport {
-        let trials = self.config.trials as u64;
-        let threads = (threads.max(1) as u64).min(trials.max(1)) as usize;
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let (tx, rx) = mpsc::channel::<(u64, Result<TrialOutcome, TrialError>, u64)>();
-        let mut report = CampaignReport::empty();
-        std::thread::scope(|scope| {
-            for worker in 0..threads as u64 {
-                let tx = tx.clone();
-                let platform = &platform;
-                let image = image.as_deref();
-                scope.spawn(move || {
-                    let mut i = worker;
-                    while i < trials {
-                        let (result, retries_used) = self.run_one(platform, image, i);
-                        if tx.send((i, result, retries_used)).is_err() {
-                            return; // receiver gone: run torn down
-                        }
-                        i += threads as u64;
-                    }
-                });
-            }
-            drop(tx);
-            report = reduce_in_order(&rx);
-        });
-        report
-    }
-
-    /// Runs all trials over work-stealing workers ([`crate::scheduler`]):
-    /// trial batches start on a shared injector, idle workers steal half
-    /// of a victim's queue, so skewed trial costs (retries, recovery
-    /// storms) no longer leave threads idle at the tail. Byte-identical
-    /// to [`Campaign::run`] and [`Campaign::run_parallel`].
-    pub fn run_stealing(&self, threads: usize) -> CampaignReport {
-        self.run_stealing_with_stats(threads).0
-    }
-
-    /// [`Campaign::run_stealing`], also returning the scheduler's
-    /// per-worker telemetry (trials run, steals, utilization). The stats
-    /// are wall-clock-dependent and live outside the report so reports
-    /// stay engine-independent.
-    pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
-        let trials = self.config.trials as u64;
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        scheduler::run_work_stealing(
-            trials,
-            threads.max(1),
-            scheduler::DEFAULT_CHUNK,
-            |i| self.run_one(&platform, image.as_deref(), i),
-            CampaignReport::empty(),
-            |report, i, (result, retries_used)| {
-                report.absorb_result(i, result, retries_used);
-            },
-        )
-    }
-
-    /// Runs with the configured thread count
-    /// ([`CampaignBuilder::threads`]): serial for 1 (honouring
-    /// checkpoints), work-stealing otherwise. Same report either way.
-    pub fn run_auto(&self) -> Result<CampaignReport, PlatformError> {
-        if self.threads <= 1 {
-            self.run_checked()
-        } else {
-            Ok(self.run_stealing(self.threads))
-        }
-    }
-
-    /// Validates the plan spec for whole-campaign execution and builds
-    /// the initial single-stratum planner state.
-    fn planned_state(&self) -> Result<PlanState, PlatformError> {
-        let spec = self.plan_spec();
-        if matches!(spec, PlanSpec::Splitting { .. }) {
-            return Err(PlatformError::InvalidConfig(
-                "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
-                 whole campaigns expose only pass/fail trials"
-                    .to_string(),
-            ));
-        }
-        PlanState::single(spec)
-    }
-
-    /// Runs the campaign under its [`PlanSpec`]: trials proceed in
-    /// planner-scheduled rounds and stop as soon as the spec is
-    /// satisfied (for `Fixed`, after exactly N trials; for
-    /// `Confidence`, once the interval on the data-loss rate is tight).
-    /// Honours [`CampaignBuilder::threads`]: rounds run serially or on
-    /// the work-stealing scheduler, byte-identically. The returned
-    /// report carries the planner state in [`CampaignReport::plan`].
-    pub fn run_planned(&self) -> Result<CampaignReport, PlatformError> {
-        if self.threads <= 1 {
-            return Ok(self
-                .run_planned_observed(&mut |_| ProgressSignal::Continue)?
-                .report);
-        }
-        let mut report = CampaignReport::empty();
-        report.plan = Some(self.planned_state()?);
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let mut completed = 0u64;
-        loop {
-            let Some(state) = &report.plan else {
-                unreachable!("planned run always seeds report.plan");
-            };
-            if state.done {
-                break;
-            }
-            let target = state.targets[0];
-            let batch = target.saturating_sub(completed);
-            let (results, _stats) = scheduler::run_work_stealing(
-                batch,
-                self.threads,
-                scheduler::DEFAULT_CHUNK,
-                |i| self.run_one(&platform, image.as_deref(), completed + i),
-                Vec::with_capacity(batch as usize),
-                |acc: &mut Vec<(Result<TrialOutcome, TrialError>, u64)>, _i, r| acc.push(r),
-            );
-            for (offset, (result, retries_used)) in results.into_iter().enumerate() {
-                let failed = trial_failed(&result);
-                report.absorb_result(completed + offset as u64, result, retries_used);
-                if let Some(state) = report.plan.as_mut() {
-                    state.absorb(0, failed);
-                }
-            }
-            completed = target;
-            if let Some(state) = report.plan.as_mut() {
-                state.advance()?;
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`Campaign::run_planned`] with a per-trial observer — the serial
-    /// planned loop, honouring checkpoints exactly like
-    /// [`Campaign::run_observed`]. `CampaignProgress::trials` reports
-    /// the current round target, which grows as the planner extends the
-    /// run.
-    pub fn run_planned_observed(
-        &self,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let mut report = CampaignReport::empty();
-        report.plan = Some(self.planned_state()?);
-        self.run_planned_range_observed(report, 0, observer)
-    }
-
-    /// Resumes a planned run from a v6 checkpoint: the planner state
-    /// (tallies, round index, current targets) comes back with the
-    /// report, so the remaining trials — and every future allocation
-    /// decision — replay exactly as the uninterrupted run would have.
-    pub fn resume_planned_observed(
-        &self,
-        path: impl AsRef<Path>,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        self.planned_state()?; // reject invalid specs before touching disk
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        if snapshot.report.plan.is_none() {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint carries no planner state; resume with resume_observed".to_string(),
-            )
-            .into());
-        }
-        self.run_planned_range_observed(snapshot.report, snapshot.completed, observer)
-    }
-
-    /// The planned serial loop: run to the current round target, let
-    /// the planner extend or finish the run at each boundary. Both the
-    /// boundary decisions and the per-trial failure bits are pure
-    /// functions of the absorbed prefix, so pausing anywhere — even
-    /// mid-round — and resuming is byte-identical to never pausing.
-    fn run_planned_range_observed(
-        &self,
-        mut report: CampaignReport,
-        start: u64,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let mut completed = start;
-        loop {
-            let Some(state) = &report.plan else {
-                return Err(PlatformError::InvalidConfig(
-                    "planned loop requires report.plan".to_string(),
-                ));
-            };
-            if state.done {
-                break;
-            }
-            let target = state.targets[0];
-            if completed >= target {
-                if let Some(state) = report.plan.as_mut() {
-                    state.advance()?;
-                }
-                continue;
-            }
-            let (result, retries_used) = self.run_one(&platform, image.as_deref(), completed);
-            let failed = trial_failed(&result);
-            report.absorb_result(completed, result, retries_used);
-            if let Some(state) = report.plan.as_mut() {
-                state.absorb(0, failed);
-                if state.round_complete() {
-                    state.advance()?;
-                }
-            }
-            completed += 1;
-            let (done, trials_now) = match &report.plan {
-                Some(state) => (state.done, state.targets[0].max(completed)),
-                None => (true, completed),
-            };
-            let mut checkpointed = false;
-            if let Some(spec) = &self.checkpoint {
-                if completed.is_multiple_of(spec.every) && !done {
-                    self.write_checkpoint(spec, completed, &report)?;
-                    checkpointed = true;
-                }
-            }
-            let signal = observer(CampaignProgress {
-                completed,
-                trials: trials_now,
-                checkpointed,
-                report: &report,
-            });
-            if signal == ProgressSignal::Pause && !done {
-                if let Some(spec) = &self.checkpoint {
-                    if !checkpointed {
-                        self.write_checkpoint(spec, completed, &report)?;
-                    }
-                }
-                return Ok(ObservedRun {
-                    report,
-                    completed,
-                    paused: true,
-                });
-            }
-        }
-        Ok(ObservedRun {
-            report,
-            completed,
-            paused: false,
-        })
-    }
+/// The accumulator of the campaign loop: the report so far plus how the
+/// run stands. Moves through each round's scheduler pass by value.
+struct RunState {
+    report: CampaignReport,
+    completed: u64,
+    paused: bool,
+    error: Option<PlatformError>,
 }
 
 /// The binary failure bit the planner tallies per campaign trial: any
@@ -1046,28 +852,6 @@ fn trial_failed(result: &Result<TrialOutcome, TrialError>) -> bool {
         Ok(outcome) => outcome.counts.total_data_loss() > 0,
         Err(_) => true,
     }
-}
-
-/// Absorbs `(index, result, retries)` triples in canonical index order:
-/// a reorder buffer holds early arrivals until the gap fills, so the
-/// accumulator sees exactly the serial absorb sequence.
-fn reduce_in_order(
-    rx: &mpsc::Receiver<(u64, Result<TrialOutcome, TrialError>, u64)>,
-) -> CampaignReport {
-    let mut report = CampaignReport::empty();
-    let mut buffer: BTreeMap<u64, (Result<TrialOutcome, TrialError>, u64)> = BTreeMap::new();
-    let mut next = 0u64;
-    for (index, result, retries) in rx.iter() {
-        buffer.insert(index, (result, retries));
-        while let Some((result, retries)) = buffer.remove(&next) {
-            report.absorb_result(next, result, retries);
-            next += 1;
-        }
-    }
-    for (index, (result, retries)) in buffer {
-        report.absorb_result(index, result, retries);
-    }
-    report
 }
 
 /// Renders a `catch_unwind` payload for [`TrialError::Panicked`].
@@ -1112,9 +896,61 @@ mod tests {
         config
     }
 
+    fn run(campaign: &Campaign) -> CampaignReport {
+        campaign.run_auto().expect("campaign runs")
+    }
+
+    /// `config` at `seed` on `threads` workers.
+    fn at(config: CampaignConfig, seed: u64, threads: usize) -> CampaignReport {
+        run(&Campaign::builder(config).seed(seed).threads(threads).build())
+    }
+
+    fn report_bytes(report: &CampaignReport) -> String {
+        serde_json::to_string(report).expect("report serializes")
+    }
+
+    fn checkpoint_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn resume(campaign: &Campaign, path: &Path) -> Result<ObservedRun, PlatformError> {
+        campaign.execute(Exec {
+            resume: Some(path),
+            ..Exec::default()
+        })
+    }
+
+    fn observed(
+        campaign: &Campaign,
+        resume: Option<&Path>,
+        mut observer: impl FnMut(CampaignProgress<'_>) -> ProgressSignal,
+    ) -> ObservedRun {
+        let exec = Exec {
+            observer: Some(&mut observer),
+            resume,
+        };
+        campaign.execute(exec).expect("observed run")
+    }
+
+    /// Runs `campaign` with an observer that pauses once `pause_at`
+    /// trials are absorbed.
+    fn run_pausing_at(campaign: &Campaign, pause_at: u64) -> ObservedRun {
+        observed(campaign, None, |p| {
+            if p.completed == pause_at {
+                ProgressSignal::Pause
+            } else {
+                ProgressSignal::Continue
+            }
+        })
+    }
+
     #[test]
     fn campaign_aggregates_all_trials() {
-        let report = Campaign::new(tiny_config(), 5).run();
+        let report = run(&Campaign::new(tiny_config(), 5));
         assert_eq!(report.faults, 6);
         // The generator flows continuously, so at least the trigger
         // fraction of the nominal 25 requests was issued per trial.
@@ -1122,30 +958,24 @@ mod tests {
         assert_eq!(report.responded_iops.count(), 6);
     }
 
-    fn report_bytes(report: &CampaignReport) -> String {
-        serde_json::to_string(report).expect("report serializes")
-    }
-
     #[test]
     fn all_engines_produce_byte_identical_reports() {
-        let campaign = Campaign::builder(tiny_config()).seed(11).build();
-        let serial = report_bytes(&campaign.run());
-        let striped = report_bytes(&campaign.run_parallel(3));
-        let stealing = report_bytes(&campaign.run_stealing(3));
-        assert_eq!(serial, striped, "striped engine must match serial");
-        assert_eq!(serial, stealing, "work-stealing engine must match serial");
+        let one = report_bytes(&at(tiny_config(), 11, 1));
+        let three = report_bytes(&at(tiny_config(), 11, 3));
+        let (two, _stats) = Campaign::new(tiny_config(), 11).run_stealing_with_stats(2);
+        assert_eq!(one, three, "3 threads must match 1 thread");
+        assert_eq!(one, report_bytes(&two), "the stats wrapper must match too");
     }
 
     #[test]
     fn engines_agree_with_obs_enabled() {
         let mut config = tiny_config();
         config.trial.obs = true;
-        let campaign = Campaign::builder(config).seed(19).build();
-        let serial = campaign.run();
-        assert!(!serial.obs.is_empty(), "obs trials must contribute");
-        let serial = report_bytes(&serial);
-        assert_eq!(serial, report_bytes(&campaign.run_parallel(3)));
-        assert_eq!(serial, report_bytes(&campaign.run_stealing(4)));
+        let one = at(config, 19, 1);
+        assert!(!one.obs.is_empty(), "obs trials must contribute");
+        let one = report_bytes(&one);
+        assert_eq!(one, report_bytes(&at(config, 19, 3)));
+        assert_eq!(one, report_bytes(&at(config, 19, 4)));
     }
 
     #[test]
@@ -1154,14 +984,13 @@ mod tests {
         config.trial.warmup_requests = 16;
         let cached = Campaign::builder(config).seed(21).snapshot_cache(true);
         let inline = cached.clone().snapshot_cache(false);
-        let with_cache = report_bytes(&cached.build().run());
-        let without_cache = report_bytes(&inline.build().run());
+        let with_cache = report_bytes(&run(&cached.build()));
+        let without_cache = report_bytes(&run(&inline.build()));
         assert_eq!(
             with_cache, without_cache,
             "snapshot restore must equal inline warm-up replay"
         );
-        let stealing = report_bytes(&Campaign::builder(config).seed(21).build().run_stealing(3));
-        assert_eq!(with_cache, stealing);
+        assert_eq!(with_cache, report_bytes(&at(config, 21, 3)));
     }
 
     #[test]
@@ -1170,55 +999,51 @@ mod tests {
         let threaded = Campaign::builder(tiny_config()).seed(11).threads(3).build();
         assert_eq!(serial.threads(), 1);
         assert_eq!(threaded.threads(), 3);
-        let a = serial.run_auto().expect("serial auto run");
-        let b = threaded.run_auto().expect("threaded auto run");
-        assert_eq!(report_bytes(&a), report_bytes(&b));
+        assert_eq!(report_bytes(&run(&serial)), report_bytes(&run(&threaded)));
     }
 
     #[test]
     fn new_is_a_thin_builder_delegate() {
-        let a = Campaign::new(tiny_config(), 7).run();
-        let b = Campaign::builder(tiny_config()).seed(7).build().run();
+        let a = run(&Campaign::new(tiny_config(), 7));
+        let b = run(&Campaign::builder(tiny_config()).seed(7).build());
         assert_eq!(report_bytes(&a), report_bytes(&b));
     }
 
     #[test]
     fn threads_are_capped_at_trial_count() {
-        // 6 trials over 64 requested threads: both engines must clamp
-        // rather than spawn idle workers, and still match serial.
-        let campaign = Campaign::builder(tiny_config()).seed(11).build();
-        let serial = report_bytes(&campaign.run());
-        assert_eq!(serial, report_bytes(&campaign.run_parallel(64)));
-        let (report, stats) = campaign.run_stealing_with_stats(64);
-        assert_eq!(serial, report_bytes(&report));
+        // 6 trials over 64 requested threads: the scheduler must clamp
+        // rather than spawn idle workers, and still match one thread.
+        let one = report_bytes(&at(tiny_config(), 11, 1));
+        let (report, stats) = Campaign::new(tiny_config(), 11).run_stealing_with_stats(64);
+        assert_eq!(one, report_bytes(&report));
         assert_eq!(stats.threads, 6, "64 threads over 6 trials is 6 workers");
         assert_eq!(stats.workers.iter().map(|w| w.trials_run).sum::<u64>(), 6);
     }
 
     #[test]
     fn same_seed_reproduces() {
-        let a = Campaign::new(tiny_config(), 7).run();
-        let b = Campaign::new(tiny_config(), 7).run();
+        let a = run(&Campaign::new(tiny_config(), 7));
+        let b = run(&Campaign::new(tiny_config(), 7));
         assert_eq!(a.counts, b.counts);
     }
 
     #[test]
     fn interval_histogram_tracks_failed_requests() {
-        let report = Campaign::new(tiny_config(), 9).run();
+        let report = run(&Campaign::new(tiny_config(), 9));
         assert_eq!(
             report.failed_ack_interval_hist.total(),
             report.failed_ack_interval_ms.count()
         );
-        let parallel = Campaign::new(tiny_config(), 9).run_parallel(3);
+        let threaded = at(tiny_config(), 9, 3);
         assert_eq!(
-            parallel.failed_ack_interval_hist.total(),
+            threaded.failed_ack_interval_hist.total(),
             report.failed_ack_interval_hist.total()
         );
     }
 
     #[test]
     fn rates_divide_by_faults() {
-        let report = Campaign::new(tiny_config(), 13).run();
+        let report = run(&Campaign::new(tiny_config(), 13));
         let expected = report.counts.data_failures as f64 / report.faults as f64;
         assert!((report.data_failures_per_fault() - expected).abs() < 1e-12);
     }
@@ -1238,8 +1063,7 @@ mod tests {
         };
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let campaign = Campaign::new(config, 11);
-        let report = campaign.run();
+        let report = run(&Campaign::new(config, 11));
         assert_eq!(report.faults, 6);
         assert!(
             !report.failures.watchdog_expired.is_empty(),
@@ -1268,18 +1092,17 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), report.failures.total_failed());
-        let parallel = campaign.run_parallel(3);
-        assert_eq!(parallel.failures, report.failures);
-        assert_eq!(parallel.counts, report.counts);
+        let threaded = at(config, 11, 3);
+        assert_eq!(threaded.failures, report.failures);
+        assert_eq!(threaded.counts, report.counts);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_serial() {
-        let campaign = Campaign::new(tiny_config(), 11);
-        let zero = campaign.run_parallel(0);
-        let serial = campaign.run();
-        assert_eq!(zero.faults, serial.faults);
-        assert_eq!(zero.counts, serial.counts);
+        let zero = Campaign::builder(tiny_config()).seed(11).threads(0).build();
+        assert_eq!(zero.threads(), 1);
+        let serial = run(&Campaign::new(tiny_config(), 11));
+        assert_eq!(report_bytes(&run(&zero)), report_bytes(&serial));
     }
 
     #[test]
@@ -1290,7 +1113,7 @@ mod tests {
             max_sim_time_us: None,
             max_events: Some(10),
         };
-        let report = Campaign::new(config, 3).run();
+        let report = run(&Campaign::new(config, 3));
         assert_eq!(report.faults, 3);
         assert_eq!(report.failures.watchdog_expired, vec![0, 1, 2]);
         assert_eq!(report.failures.total_failed(), 3);
@@ -1303,16 +1126,16 @@ mod tests {
         // A zero-capacity cache fails SsdConfig validation inside the
         // trial body, so every trial panics.
         config.trial.ssd.cache.capacity_sectors = 0;
-        let campaign = Campaign::new(config, 17).with_retries(2);
-        let a = campaign.run();
+        let campaign = Campaign::builder(config).seed(17).retries(2);
+        let a = run(&campaign.clone().build());
         assert_eq!(a.faults, 6);
         assert_eq!(a.failures.panicked, vec![0, 1, 2, 3, 4, 5]);
         // 2 extra attempts per trial, all panicking.
         assert_eq!(a.failures.retries, 12);
-        let b = campaign.run();
+        let b = run(&campaign.clone().build());
         assert_eq!(a.failures, b.failures);
-        let parallel = campaign.run_parallel(3);
-        assert_eq!(parallel.failures, a.failures);
+        let threaded = run(&campaign.threads(3).build());
+        assert_eq!(threaded.failures, a.failures);
     }
 
     #[test]
@@ -1320,7 +1143,7 @@ mod tests {
         let mut config = tiny_config();
         config.trial.ssd.mount_failure_rate = 1.0;
         config.trial.ssd.mount_retry_limit = 2;
-        let report = Campaign::new(config, 23).run();
+        let report = run(&Campaign::new(config, 23));
         assert_eq!(report.faults, 6);
         assert_eq!(report.counts.bricked_devices, 6);
         assert_eq!(report.failures.bricked.len(), 6);
@@ -1332,15 +1155,15 @@ mod tests {
         config.trials = 12;
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let report = Campaign::new(config, 29).run();
+        let report = run(&Campaign::new(config, 29));
         let bricked = report.failures.bricked.len() as u64;
         assert_eq!(report.counts.bricked_devices, bricked);
         assert!(bricked > 0, "rate 0.5 should brick at least one of 12");
         assert!(bricked < 12, "rate 0.5 should let at least one mount");
         assert_eq!(report.responded_iops.count() + bricked, 12);
-        let parallel = Campaign::new(config, 29).run_parallel(4);
-        assert_eq!(parallel.failures, report.failures);
-        assert_eq!(parallel.counts, report.counts);
+        let threaded = at(config, 29, 4);
+        assert_eq!(threaded.failures, report.failures);
+        assert_eq!(threaded.counts, report.counts);
     }
 
     #[test]
@@ -1348,52 +1171,53 @@ mod tests {
         let mut config = tiny_config();
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let no_retry = Campaign::new(config, 29).run();
-        let with_retry = Campaign::new(config, 29).with_retries(4).run();
+        let no_retry = run(&Campaign::new(config, 29));
+        let with_retry = run(&Campaign::builder(config).seed(29).retries(4).build());
         assert!(no_retry.failures.bricked.len() > with_retry.failures.bricked.len());
         assert!(with_retry.failures.retries > 0);
     }
 
     #[test]
     fn checkpoint_resume_equals_uninterrupted_run() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("resume.json");
-        let _ = std::fs::remove_file(&path);
-
-        let plain = Campaign::new(tiny_config(), 31).run();
-        let checkpointed = Campaign::new(tiny_config(), 31).with_checkpoint(&path, 2);
-        let full = checkpointed.run_checked().expect("checkpointed run");
-        assert_eq!(
-            serde_json::to_string(&full).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
-            "checkpointing must not perturb the result"
-        );
-
-        // The file on disk holds a partial prefix (the last mid-run
-        // snapshot); resuming from it must reproduce the full report
-        // byte-for-byte.
-        let resumed = checkpointed.resume_from(&path).expect("resume");
-        assert_eq!(
-            serde_json::to_string(&resumed).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
-            "resumed run must equal the uninterrupted run"
-        );
+        let path = checkpoint_path("resume.json");
+        let plain = report_bytes(&run(&Campaign::new(tiny_config(), 31)));
+        for threads in [1, 3] {
+            let checkpointed = Campaign::builder(tiny_config())
+                .seed(31)
+                .threads(threads)
+                .checkpoint(&path, 2)
+                .build();
+            let full = run(&checkpointed);
+            assert_eq!(
+                report_bytes(&full),
+                plain,
+                "checkpointing must not perturb the result"
+            );
+            // The file on disk holds a partial prefix (the last mid-run
+            // snapshot, written in trial order whatever the thread
+            // count); resuming from it must reproduce the full report
+            // byte-for-byte.
+            assert_eq!(checkpointed.checkpoint_snapshot(&path).expect("ckpt").0, 4);
+            let resumed = resume(&checkpointed, &path).expect("resume");
+            assert_eq!(
+                report_bytes(&resumed.report),
+                plain,
+                "resumed run must equal the uninterrupted run"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resume_rejects_mismatched_campaign() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("mismatch.json");
-        let _ = std::fs::remove_file(&path);
+        let path = checkpoint_path("mismatch.json");
+        let campaign = Campaign::builder(tiny_config())
+            .seed(37)
+            .checkpoint(&path, 2)
+            .build();
+        run(&campaign);
 
-        let campaign = Campaign::new(tiny_config(), 37).with_checkpoint(&path, 2);
-        campaign.run_checked().expect("run");
-
-        let wrong_seed = Campaign::new(tiny_config(), 38);
-        match wrong_seed.resume_from(&path) {
+        match resume(&Campaign::new(tiny_config(), 38), &path) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "seed");
             }
@@ -1402,8 +1226,7 @@ mod tests {
 
         let mut other_config = tiny_config();
         other_config.requests_per_trial += 1;
-        let wrong_config = Campaign::new(other_config, 37);
-        match wrong_config.resume_from(&path) {
+        match resume(&Campaign::new(other_config, 37), &path) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "config_digest");
             }
@@ -1414,16 +1237,15 @@ mod tests {
 
     #[test]
     fn resume_rejects_old_checkpoint_version() {
-        // Satellite: a v5-era snapshot (before the embedded planner
-        // state) must be refused loudly, not misread — and every older
-        // version likewise, down to v2.
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("stale-version.json");
-        let _ = std::fs::remove_file(&path);
-
-        let campaign = Campaign::new(tiny_config(), 43).with_checkpoint(&path, 2);
-        campaign.run_checked().expect("run");
+        // A v5-era snapshot (before the embedded planner state) must be
+        // refused loudly, not misread — and every older version
+        // likewise, down to v2.
+        let path = checkpoint_path("stale-version.json");
+        let campaign = Campaign::builder(tiny_config())
+            .seed(43)
+            .checkpoint(&path, 2)
+            .build();
+        run(&campaign);
         let text = std::fs::read_to_string(&path).expect("checkpoint written");
         assert!(text.contains("\"version\":6"), "snapshot carries v6");
 
@@ -1434,7 +1256,7 @@ mod tests {
             "\"version\":2",
         ] {
             std::fs::write(&path, text.replace("\"version\":6", stale)).expect("rewrite");
-            match campaign.resume_from(&path) {
+            match resume(&campaign, &path) {
                 Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                     assert_eq!(field, "version");
                 }
@@ -1446,82 +1268,81 @@ mod tests {
 
     #[test]
     fn observed_run_sees_every_trial_and_checkpoint_boundaries() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("observed.json");
-        let _ = std::fs::remove_file(&path);
-
-        let campaign = Campaign::new(tiny_config(), 47).with_checkpoint(&path, 2);
-        let mut seen: Vec<(u64, bool)> = Vec::new();
-        let run = campaign
-            .run_observed(&mut |p| {
+        let path = checkpoint_path("observed.json");
+        // The observer runs in trial order at any thread count.
+        for threads in [1, 3] {
+            let campaign = Campaign::builder(tiny_config())
+                .seed(47)
+                .threads(threads)
+                .checkpoint(&path, 2)
+                .build();
+            let mut seen: Vec<(u64, bool)> = Vec::new();
+            let run = observed(&campaign, None, |p| {
                 seen.push((p.completed, p.checkpointed));
                 assert_eq!(p.trials, 6);
                 assert_eq!(p.report.faults, p.completed);
                 ProgressSignal::Continue
-            })
-            .expect("observed run");
-        assert!(!run.paused);
-        assert_eq!(run.completed, 6);
-        assert_eq!(
-            seen,
-            vec![
-                (1, false),
-                (2, true),
-                (3, false),
-                (4, true),
-                (5, false),
-                (6, false) // final trial never checkpoints
-            ]
-        );
+            });
+            assert!(!run.paused);
+            assert_eq!(run.completed, 6);
+            assert_eq!(
+                seen,
+                vec![
+                    (1, false),
+                    (2, true),
+                    (3, false),
+                    (4, true),
+                    (5, false),
+                    (6, false) // final trial never checkpoints
+                ],
+                "threads={threads}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn paused_run_checkpoints_and_resumes_byte_identically() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("paused.json");
-        let _ = std::fs::remove_file(&path);
+        let path = checkpoint_path("paused.json");
+        let plain = report_bytes(&at(tiny_config(), 53, 1));
+        // Pause on one thread count, resume on the other.
+        for (pause_threads, resume_threads) in [(1, 3), (3, 1)] {
+            let campaign = |threads| {
+                Campaign::builder(tiny_config())
+                    .seed(53)
+                    .threads(threads)
+                    .checkpoint(&path, 2)
+                    .build()
+            };
+            // Pause after trial 3 — an off-boundary stride, so the
+            // pause itself must write the checkpoint.
+            let run = run_pausing_at(&campaign(pause_threads), 3);
+            assert!(run.paused);
+            assert_eq!(run.completed, 3);
+            assert_eq!(run.report.faults, 3, "nothing past the pause is absorbed");
+            let resumer = campaign(resume_threads);
+            assert_eq!(resumer.checkpoint_snapshot(&path).expect("ckpt").0, 3);
 
-        let plain = Campaign::new(tiny_config(), 53).run();
-        let campaign = Campaign::new(tiny_config(), 53).with_checkpoint(&path, 2);
-        // Pause after trial 3 — an off-boundary stride, so the pause
-        // itself must write the checkpoint.
-        let run = campaign
-            .run_observed(&mut |p| {
-                if p.completed == 3 {
-                    ProgressSignal::Pause
-                } else {
-                    ProgressSignal::Continue
-                }
-            })
-            .expect("paused run");
-        assert!(run.paused);
-        assert_eq!(run.completed, 3);
-        assert_eq!(campaign.checkpoint_completed(&path).expect("ckpt"), 3);
-
-        let resumed = campaign
-            .resume_observed(&path, &mut |p| {
+            let resumed = observed(&resumer, Some(&path), |p| {
                 assert!(p.completed > 3, "resume must not rerun the prefix");
                 ProgressSignal::Continue
-            })
-            .expect("resume");
-        assert!(!resumed.paused);
-        assert_eq!(
-            serde_json::to_string(&resumed.report).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
-            "pause/resume must equal the uninterrupted run"
-        );
+            });
+            assert!(!resumed.paused);
+            assert_eq!(
+                report_bytes(&resumed.report),
+                plain,
+                "pause at {pause_threads} thread(s), resume at {resume_threads}: \
+                 must equal the uninterrupted run"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn pause_at_final_trial_is_a_completion() {
-        let campaign = Campaign::new(tiny_config(), 59);
-        let run = campaign
-            .run_observed(&mut |_| ProgressSignal::Pause)
-            .expect("run");
+        let run = observed(&Campaign::new(tiny_config(), 59), None, |_| {
+            ProgressSignal::Pause
+        });
         // No checkpoint configured: the pause after trial 1 ends the
         // run with a partial report rather than erroring.
         assert!(run.paused);
@@ -1531,11 +1352,9 @@ mod tests {
 
     #[test]
     fn resume_rejects_corrupt_checkpoint() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("corrupt.json");
+        let path = checkpoint_path("corrupt.json");
         std::fs::write(&path, "{not json").expect("write");
-        match Campaign::new(tiny_config(), 41).resume_from(&path) {
+        match resume(&Campaign::new(tiny_config(), 41), &path) {
             Err(PlatformError::Checkpoint(CheckpointError::Corrupt(_))) => {}
             other => panic!("expected corrupt checkpoint, got {other:?}"),
         }
@@ -1558,98 +1377,74 @@ mod tests {
         }
     }
 
+    fn loose_ci(seed: u64) -> CampaignBuilder {
+        Campaign::builder(tiny_config())
+            .seed(seed)
+            .plan(loose_ci_spec())
+    }
+
     #[test]
     fn fixed_plan_matches_classic_run_modulo_plan_state() {
-        let classic = Campaign::builder(tiny_config()).seed(11).build().run();
-        let planned = Campaign::builder(tiny_config())
+        // A fixed plan carries no planner state: it is the classic run,
+        // byte for byte.
+        let classic = run(&Campaign::builder(tiny_config()).seed(11).build());
+        let planned = run(&Campaign::builder(tiny_config())
             .seed(11)
             .plan(PlanSpec::fixed(6))
-            .build()
-            .run_planned()
-            .expect("planned run");
-        assert_eq!(planned.faults, classic.faults);
-        assert_eq!(planned.counts, classic.counts);
-        let state = planned.plan.clone().expect("planned run records state");
-        assert!(state.done);
-        assert_eq!(state.total_trials(), 6);
-        assert_eq!(state.round, 1, "fixed plans are a single round");
-        // Every tallied failure is a trial with data loss or no outcome,
-        // so the tally can never exceed the trial count and must be at
-        // least the terminal-failure count.
-        assert!(state.total_failures() <= 6);
-        assert!(state.total_failures() >= planned.failures.total_failed() as u64);
-        let pr = planned.plan_report().expect("plan report");
-        assert_eq!(pr.trials, 6);
-        assert!(pr.wilson.covers(pr.p_hat));
+            .build());
+        assert_eq!(report_bytes(&planned), report_bytes(&classic));
+        assert!(planned.plan.is_none());
+        assert!(planned.plan_report().is_none());
     }
 
     #[test]
     fn planned_engines_agree_byte_for_byte() {
-        let serial = Campaign::builder(tiny_config())
-            .seed(13)
-            .plan(loose_ci_spec())
-            .build()
-            .run_planned()
-            .expect("serial planned");
-        let stealing = Campaign::builder(tiny_config())
-            .seed(13)
-            .plan(loose_ci_spec())
-            .threads(3)
-            .build()
-            .run_planned()
-            .expect("stealing planned");
-        assert_eq!(report_bytes(&serial), report_bytes(&stealing));
-        let state = serial.plan.expect("plan state");
-        assert!(state.done);
-        assert_eq!(state.total_trials(), 9, "loose spec stops at its floor");
-        assert_eq!(state.round, 3, "three rounds of three trials");
+        // `run_auto` must honour the adaptive plan — stop at the 9-trial
+        // floor, not run the 24-trial budget — and reproduce the pinned
+        // report bytes (FNV-64 of the report JSON) at any thread count.
+        for (seed, digest) in [(13, 0x8262_d6b7_b11c_62b9u64), (17, 0x02d9_8d63_0aae_dae4)] {
+            let one = run(&loose_ci(seed).build());
+            assert_eq!(fnv64(report_bytes(&one).as_bytes()), digest, "seed {seed}");
+            let three = run(&loose_ci(seed).threads(3).build());
+            assert_eq!(report_bytes(&one), report_bytes(&three));
+            let state = one.plan.as_ref().expect("adaptive runs carry plan state");
+            assert!(state.done);
+            assert_eq!(state.total_trials(), 9, "loose spec stops at its floor");
+            assert_eq!(state.round, 3, "three rounds of three trials");
+            let pr = one.plan_report().expect("plan report");
+            assert!(pr.wilson.covers(pr.p_hat));
+        }
+        let (stats_run, stats) = loose_ci(13).build().run_stealing_with_stats(2);
+        assert_eq!(fnv64(report_bytes(&stats_run).as_bytes()), 0x8262_d6b7_b11c_62b9);
+        assert_eq!(stats.trials, 9, "stats sum over the three rounds");
+        assert_eq!(stats.workers.iter().map(|w| w.trials_run).sum::<u64>(), 9);
     }
 
     #[test]
     fn planned_pause_resumes_byte_identically_even_mid_round() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("planned-pause.json");
-        let _ = std::fs::remove_file(&path);
+        let path = checkpoint_path("planned-pause.json");
+        let plain = report_bytes(&run(&loose_ci(17).build()));
+        for (pause_threads, resume_threads) in [(1, 3), (3, 1)] {
+            let campaign = |threads| loose_ci(17).threads(threads).checkpoint(&path, 2).build();
+            // Pause after trial 4 — inside round 2 (rounds are 3 trials
+            // wide), so resuming must pick the round back up mid-stride.
+            let paused = run_pausing_at(&campaign(pause_threads), 4);
+            assert!(paused.paused);
+            assert_eq!(paused.completed, 4);
+            assert_eq!(paused.report.faults, 4, "nothing past the pause is absorbed");
 
-        let plain = Campaign::builder(tiny_config())
-            .seed(17)
-            .plan(loose_ci_spec())
-            .build()
-            .run_planned()
-            .expect("uninterrupted planned run");
-
-        // Pause after trial 4 — inside round 2 (rounds are 3 trials
-        // wide), so resuming must pick the round back up mid-stride.
-        let campaign = Campaign::builder(tiny_config())
-            .seed(17)
-            .plan(loose_ci_spec())
-            .checkpoint(&path, 2)
-            .build();
-        let run = campaign
-            .run_planned_observed(&mut |p| {
-                if p.completed == 4 {
-                    ProgressSignal::Pause
-                } else {
-                    ProgressSignal::Continue
-                }
-            })
-            .expect("paused planned run");
-        assert!(run.paused);
-        assert_eq!(run.completed, 4);
-
-        let resumed = campaign
-            .resume_planned_observed(&path, &mut |p| {
+            let resumed = observed(&campaign(resume_threads), Some(&path), |p| {
                 assert!(p.completed > 4, "resume must not rerun the prefix");
                 ProgressSignal::Continue
-            })
-            .expect("resume planned");
-        assert!(!resumed.paused);
-        assert_eq!(
-            report_bytes(&resumed.report),
-            report_bytes(&plain),
-            "planned pause/resume must equal the uninterrupted run"
-        );
+            });
+            assert!(!resumed.paused);
+            assert_eq!(
+                report_bytes(&resumed.report),
+                plain,
+                "pause at {pause_threads} thread(s), resume at {resume_threads}: \
+                 must equal the uninterrupted run"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1659,7 +1454,7 @@ mod tests {
             .seed(19)
             .plan(PlanSpec::split(3))
             .build();
-        match campaign.run_planned() {
+        match campaign.run_auto() {
             Err(PlatformError::InvalidConfig(why)) => {
                 assert!(why.contains("severity"), "{why}");
             }
@@ -1669,48 +1464,26 @@ mod tests {
 
     #[test]
     fn resume_planned_rejects_plan_less_checkpoints() {
-        let dir = std::env::temp_dir().join("pfault-checkpoint-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("plain-ckpt-for-planned.json");
-        let _ = std::fs::remove_file(&path);
+        let path = checkpoint_path("plan-less-ckpt-for-planned.json");
+        // An adaptive paused run writes a checkpoint with planner
+        // state; strip it…
+        let campaign = loose_ci(23).checkpoint(&path, 2).build();
+        assert!(run_pausing_at(&campaign, 2).paused);
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut snapshot: CampaignCheckpoint = serde_json::from_str(&text).expect("parses");
+        assert!(snapshot.report.plan.is_some());
+        snapshot.report.plan = None;
+        std::fs::write(&path, serde_json::to_string(&snapshot).expect("serializes"))
+            .expect("rewrite");
 
-        // A plain (non-planned) paused run writes a checkpoint with no
-        // planner state…
-        let campaign = Campaign::new(tiny_config(), 23).with_checkpoint(&path, 2);
-        let run = campaign
-            .run_observed(&mut |p| {
-                if p.completed == 2 {
-                    ProgressSignal::Pause
-                } else {
-                    ProgressSignal::Continue
-                }
-            })
-            .expect("paused plain run");
-        assert!(run.paused);
-
-        // …which the planned resume path must refuse rather than
-        // invent planner state for.
-        match campaign.resume_planned_observed(&path, &mut |_| ProgressSignal::Continue) {
+        // …and the adaptive resume must refuse it rather than invent
+        // planner state.
+        match resume(&campaign, &path) {
             Err(PlatformError::Checkpoint(CheckpointError::Corrupt(why))) => {
                 assert!(why.contains("planner state"), "{why}");
             }
             other => panic!("expected corrupt checkpoint, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_trials_delegates_to_fixed_plan() {
-        let via_trials = Campaign::builder(tiny_config()).seed(29).trials(4).build();
-        let via_plan = Campaign::builder(tiny_config())
-            .seed(29)
-            .plan(PlanSpec::fixed(4))
-            .build();
-        assert_eq!(via_trials.plan_spec(), via_plan.plan_spec());
-        let a = via_trials.run_planned().expect("trials run");
-        let b = via_plan.run_planned().expect("plan run");
-        assert_eq!(report_bytes(&a), report_bytes(&b));
-        assert_eq!(a.faults, 4);
     }
 }

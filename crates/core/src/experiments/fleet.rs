@@ -20,11 +20,12 @@
 //! degraded from the first.
 //!
 //! Every trial is a pure function of `(config, seed)` with integer-only
-//! tallies, so the report is byte-identical across the serial, striped,
-//! and work-stealing engines — asserted at run time by re-reducing one
-//! point on two engines.
+//! tallies, so the report is byte-identical at any thread count —
+//! asserted at run time by re-reducing one point on one and two
+//! threads.
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +33,7 @@ use pfault_fleet::{FleetConfig, FleetSim, FleetTally};
 use pfault_obs::Metrics;
 use pfault_sim::checksum::mix64;
 
-use crate::experiments::{EngineArg, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::report::Table;
 
 /// Everything accumulated for one swept point: the fleet tally plus the
@@ -194,74 +195,26 @@ fn run_trial(config: &FleetConfig, seed: u64) -> PointAgg {
     }
 }
 
-/// Reduces `trials` trials of one point on the chosen engine. All three
-/// engines absorb results in canonical trial order, so the aggregate is
-/// byte-identical regardless of engine or thread count.
-pub fn run_point(
-    config: &FleetConfig,
-    point_seed: u64,
-    trials: u64,
-    threads: usize,
-    engine: EngineArg,
-) -> PointAgg {
-    let engine = match engine {
-        EngineArg::Auto => {
-            if threads > 1 {
-                EngineArg::Stealing
-            } else {
-                EngineArg::Serial
-            }
-        }
-        e => e,
-    };
-    match engine {
-        EngineArg::Serial | EngineArg::Auto => {
-            let mut acc = PointAgg::default();
-            for i in 0..trials {
-                acc.merge(&run_trial(config, mix64(point_seed, i)));
-            }
-            acc
-        }
-        EngineArg::Striped => {
-            let threads = threads.clamp(1, trials.max(1) as usize);
-            let mut slots: Vec<Option<PointAgg>> = vec![None; trials as usize];
-            std::thread::scope(|scope| {
-                let chunks: Vec<(usize, &mut [Option<PointAgg>])> = slots
-                    .chunks_mut(trials.div_ceil(threads as u64) as usize)
-                    .enumerate()
-                    .collect();
-                for (stripe, chunk) in chunks {
-                    let base = stripe as u64 * trials.div_ceil(threads as u64);
-                    scope.spawn(move || {
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            let i = base + off as u64;
-                            *slot = Some(run_trial(config, mix64(point_seed, i)));
-                        }
-                    });
-                }
-            });
-            let mut acc = PointAgg::default();
-            for slot in slots {
-                acc.merge(&slot.expect("every stripe fills its slots"));
-            }
-            acc
-        }
-        EngineArg::Stealing => {
-            let (acc, _stats) = crate::scheduler::run_work_stealing(
-                trials,
-                threads,
-                crate::scheduler::DEFAULT_CHUNK,
-                |i| run_trial(config, mix64(point_seed, i)),
-                PointAgg::default(),
-                |acc: &mut PointAgg, _i, t: PointAgg| acc.merge(&t),
-            );
-            acc
-        }
-    }
+/// Reduces `trials` trials of one point on the work-stealing scheduler.
+/// Results are absorbed in canonical trial order, so the aggregate is
+/// byte-identical at any thread count.
+pub fn run_point(config: &FleetConfig, point_seed: u64, trials: u64, threads: usize) -> PointAgg {
+    let (acc, _stats) = crate::scheduler::run_work_stealing(
+        0..trials,
+        threads,
+        crate::scheduler::DEFAULT_CHUNK,
+        |i| run_trial(config, mix64(point_seed, i)),
+        PointAgg::default(),
+        |acc: &mut PointAgg, _i, t: PointAgg| {
+            acc.merge(&t);
+            ControlFlow::Continue(())
+        },
+    );
+    acc
 }
 
-/// Runs the fleet sweep at the given scale with the given engine.
-pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> FleetReport {
+/// Runs the fleet sweep at the given scale on `scale.threads` workers.
+pub fn run(scale: ExperimentScale, seed: u64) -> FleetReport {
     let trials = (scale.faults_per_point as u64 / 10).max(2);
     let mut rows = Vec::new();
     let mut counts = crate::analyzer::FailureCounts::default();
@@ -271,7 +224,7 @@ pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> FleetReport 
             for &correlated in &[true, false] {
                 let config = point_config(psu_group, parity, correlated);
                 let point_seed = mix64(seed, 0x464C_5054 ^ point);
-                let agg = run_point(&config, point_seed, trials, scale.threads, engine);
+                let agg = run_point(&config, point_seed, trials, scale.threads);
                 let t = &agg.tally;
                 rows.push(FleetRow {
                     psu_group,
@@ -362,15 +315,15 @@ pub fn check(report: &FleetReport, scale: ExperimentScale, seed: u64) -> Vec<Str
         );
     }
 
-    // Engine independence, re-proven on this run's first point: the
-    // serial and work-stealing reductions must agree bit-for-bit.
+    // Thread-count independence, re-proven on this run's first point:
+    // the 1-thread and 2-thread reductions must agree bit-for-bit.
     let trials = (scale.faults_per_point as u64 / 10).max(2);
     let config = point_config(1, 1, true);
     let point_seed = mix64(seed, 0x464C_5054);
-    let serial = run_point(&config, point_seed, trials, 1, EngineArg::Serial);
-    let stealing = run_point(&config, point_seed, trials, 2, EngineArg::Stealing);
-    if serial != stealing {
-        checks.push("fleet smoke failed: serial and stealing engines diverged".into());
+    let serial = run_point(&config, point_seed, trials, 1);
+    let threaded = run_point(&config, point_seed, trials, 2);
+    if serial != threaded {
+        checks.push("fleet smoke failed: 1-thread and 2-thread reductions diverged".into());
     }
     // And the obs pipeline must agree with the integer tallies.
     if serial.obs_degraded != serial.tally.degraded_reads
@@ -419,21 +372,22 @@ mod tests {
 
     #[test]
     fn same_seed_fleet_reports_are_byte_identical_across_engines() {
-        // Satellite: serial, striped, and stealing engines — and plain
-        // reruns — must all produce byte-identical reports.
-        let a = run(tiny(), 777, EngineArg::Serial);
-        let b = run(tiny(), 777, EngineArg::Striped);
-        let c = run(tiny(), 777, EngineArg::Stealing);
-        let d = run(tiny(), 777, EngineArg::Serial);
+        // 1, 2 and 3 threads — and plain reruns — must all produce
+        // byte-identical reports.
+        let at = |threads| ExperimentScale { threads, ..tiny() };
+        let a = run(at(1), 777);
+        let b = run(at(2), 777);
+        let c = run(at(3), 777);
+        let d = run(at(1), 777);
         let json = |r: &FleetReport| serde_json::to_string(r).expect("serializes");
-        assert_eq!(json(&a), json(&b), "serial vs striped");
-        assert_eq!(json(&a), json(&c), "serial vs stealing");
+        assert_eq!(json(&a), json(&b), "1 vs 2 threads");
+        assert_eq!(json(&a), json(&c), "1 vs 3 threads");
         assert_eq!(json(&a), json(&d), "rerun");
     }
 
     #[test]
     fn correlated_points_degrade_mttdl_and_self_checks_pass() {
-        let report = run(tiny(), 42, EngineArg::Auto);
+        let report = run(tiny(), 42);
         let failures = check(&report, tiny(), 42);
         assert!(
             failures.is_empty(),
@@ -446,7 +400,7 @@ mod tests {
 
     #[test]
     fn report_renders_with_unbounded_mttdl() {
-        let report = run(tiny(), 99, EngineArg::Serial);
+        let report = run(tiny(), 99);
         let text = render(&report);
         assert!(text.contains("Extension L"));
         assert!(

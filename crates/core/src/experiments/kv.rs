@@ -18,11 +18,12 @@
 //! recovery on a new seal over stale value sectors.
 //!
 //! Every trial is a pure function of `(config, seed)` with integer-only
-//! tallies, so the report is byte-identical across the serial, striped,
-//! and work-stealing engines — asserted at run time by re-reducing one
-//! point on two engines.
+//! tallies, so the report is byte-identical at any thread count —
+//! asserted at run time by re-reducing one point on one and two
+//! threads.
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +32,7 @@ use pfault_obs::{Metrics, ProbeEvent};
 use pfault_sim::checksum::mix64;
 use pfault_ssd::VendorPreset;
 
-use crate::experiments::{EngineArg, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::report::Table;
 
 /// Integer tally of one firmware arm across a point's trials.
@@ -235,71 +236,28 @@ fn run_trial(loose: &KvTrialConfig, strict: &KvTrialConfig, seed: u64) -> KvPoin
     agg
 }
 
-/// Reduces `trials` paired trials of one point on the chosen engine. All
-/// three engines absorb results in canonical trial order, so the
-/// aggregate is byte-identical regardless of engine or thread count.
+/// Reduces `trials` paired trials of one point on the work-stealing
+/// scheduler. Results are absorbed in canonical trial order, so the
+/// aggregate is byte-identical at any thread count.
 pub fn run_point(
     loose: &KvTrialConfig,
     strict: &KvTrialConfig,
     point_seed: u64,
     trials: u64,
     threads: usize,
-    engine: EngineArg,
 ) -> KvPointAgg {
-    let engine = match engine {
-        EngineArg::Auto => {
-            if threads > 1 {
-                EngineArg::Stealing
-            } else {
-                EngineArg::Serial
-            }
-        }
-        e => e,
-    };
-    match engine {
-        EngineArg::Serial | EngineArg::Auto => {
-            let mut acc = KvPointAgg::default();
-            for i in 0..trials {
-                acc.merge(&run_trial(loose, strict, mix64(point_seed, i)));
-            }
-            acc
-        }
-        EngineArg::Striped => {
-            let threads = threads.clamp(1, trials.max(1) as usize);
-            let mut slots: Vec<Option<KvPointAgg>> = vec![None; trials as usize];
-            std::thread::scope(|scope| {
-                let chunks: Vec<(usize, &mut [Option<KvPointAgg>])> = slots
-                    .chunks_mut(trials.div_ceil(threads as u64) as usize)
-                    .enumerate()
-                    .collect();
-                for (stripe, chunk) in chunks {
-                    let base = stripe as u64 * trials.div_ceil(threads as u64);
-                    scope.spawn(move || {
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            let i = base + off as u64;
-                            *slot = Some(run_trial(loose, strict, mix64(point_seed, i)));
-                        }
-                    });
-                }
-            });
-            let mut acc = KvPointAgg::default();
-            for slot in slots {
-                acc.merge(&slot.expect("every stripe fills its slots"));
-            }
-            acc
-        }
-        EngineArg::Stealing => {
-            let (acc, _stats) = crate::scheduler::run_work_stealing(
-                trials,
-                threads,
-                crate::scheduler::DEFAULT_CHUNK,
-                |i| run_trial(loose, strict, mix64(point_seed, i)),
-                KvPointAgg::default(),
-                |acc: &mut KvPointAgg, _i, t: KvPointAgg| acc.merge(&t),
-            );
-            acc
-        }
-    }
+    let (acc, _stats) = crate::scheduler::run_work_stealing(
+        0..trials,
+        threads,
+        crate::scheduler::DEFAULT_CHUNK,
+        |i| run_trial(loose, strict, mix64(point_seed, i)),
+        KvPointAgg::default(),
+        |acc: &mut KvPointAgg, _i, t: KvPointAgg| {
+            acc.merge(&t);
+            ControlFlow::Continue(())
+        },
+    );
+    acc
 }
 
 /// The swept grid: vendor × cache × cut phase, workloads cycled across
@@ -323,8 +281,8 @@ fn point_configs(
     (loose, strict)
 }
 
-/// Runs the Extension M sweep at the given scale with the given engine.
-pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> KvReport {
+/// Runs the Extension M sweep at the given scale on `scale.threads` workers.
+pub fn run(scale: ExperimentScale, seed: u64) -> KvReport {
     let trials = (scale.faults_per_point as u64 / 5).max(6);
     let kinds = KvWorkloadKind::all();
     let mut rows = Vec::new();
@@ -336,7 +294,7 @@ pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> KvReport {
                 let kind = kinds[point as usize % kinds.len()];
                 let (loose, strict) = point_configs(preset, cache, phase, kind);
                 let point_seed = mix64(seed, 0x4B56_4150 ^ point);
-                let agg = run_point(&loose, &strict, point_seed, trials, scale.threads, engine);
+                let agg = run_point(&loose, &strict, point_seed, trials, scale.threads);
                 counts.app_surfaced += agg.loose.surfaced + agg.strict.surfaced;
                 counts.app_masked += agg.loose.masked + agg.strict.masked;
                 counts.app_silent_poison += agg.loose.silent_poison + agg.strict.silent_poison;
@@ -391,16 +349,16 @@ pub fn check(report: &KvReport, scale: ExperimentScale, seed: u64) -> Vec<String
         checks.push("kv smoke failed: no journal batch was ever torn".into());
     }
 
-    // Engine independence, re-proven on this run's first point: the
-    // serial and work-stealing reductions must agree bit-for-bit.
+    // Thread-count independence, re-proven on this run's first point:
+    // the 1-thread and 2-thread reductions must agree bit-for-bit.
     let trials = (scale.faults_per_point as u64 / 5).max(6);
     let kinds = KvWorkloadKind::all();
     let (loose, strict) = point_configs(VendorPreset::SsdA, true, PHASES[0], kinds[0]);
     let point_seed = mix64(seed, 0x4B56_4150);
-    let serial = run_point(&loose, &strict, point_seed, trials, 1, EngineArg::Serial);
-    let stealing = run_point(&loose, &strict, point_seed, trials, 2, EngineArg::Stealing);
-    if serial != stealing {
-        checks.push("kv smoke failed: serial and stealing engines diverged".into());
+    let serial = run_point(&loose, &strict, point_seed, trials, 1);
+    let threaded = run_point(&loose, &strict, point_seed, trials, 2);
+    if serial != threaded {
+        checks.push("kv smoke failed: 1-thread and 2-thread reductions diverged".into());
     }
     // And the obs pipeline must agree with the oracle tallies: exactly
     // one `app.outcome` probe per trial, payloads summing to the counts.
@@ -456,21 +414,22 @@ mod tests {
 
     #[test]
     fn same_seed_kv_reports_are_byte_identical_across_engines() {
-        // Satellite: serial, striped, and stealing engines — and plain
-        // reruns — must all produce byte-identical reports.
-        let a = run(tiny(), 7, EngineArg::Serial);
-        let b = run(tiny(), 7, EngineArg::Striped);
-        let c = run(tiny(), 7, EngineArg::Stealing);
-        let d = run(tiny(), 7, EngineArg::Serial);
+        // 1, 2 and 3 threads — and plain reruns — must all produce
+        // byte-identical reports.
+        let at = |threads| ExperimentScale { threads, ..tiny() };
+        let a = run(at(1), 7);
+        let b = run(at(2), 7);
+        let c = run(at(3), 7);
+        let d = run(at(1), 7);
         let json = |r: &KvReport| serde_json::to_string(r).expect("serializes");
-        assert_eq!(json(&a), json(&b), "serial vs striped");
-        assert_eq!(json(&a), json(&c), "serial vs stealing");
+        assert_eq!(json(&a), json(&b), "1 vs 2 threads");
+        assert_eq!(json(&a), json(&c), "1 vs 3 threads");
         assert_eq!(json(&a), json(&d), "rerun");
     }
 
     #[test]
     fn kv_sweep_finds_every_class_and_self_checks_pass() {
-        let report = run(tiny(), 7, EngineArg::Auto);
+        let report = run(tiny(), 7);
         let failures = check(&report, tiny(), 7);
         assert!(failures.is_empty(), "kv self-checks must pass: {failures:?}");
         // The v5 checkpoint fields carry real application data.
@@ -480,7 +439,7 @@ mod tests {
 
     #[test]
     fn report_renders_with_totals() {
-        let report = run(tiny(), 7, EngineArg::Serial);
+        let report = run(tiny(), 7);
         let text = render(&report);
         assert!(text.contains("Extension M"));
         assert!(text.contains("silently poisoned"));

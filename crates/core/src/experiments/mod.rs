@@ -52,7 +52,7 @@ pub mod wear;
 pub mod wss;
 
 pub use registry::{
-    find, registry as all, EngineArg, Experiment, ExperimentCtx, ExperimentOpts, ExperimentReport,
+    find, registry as all, Experiment, ExperimentCtx, ExperimentOpts, ExperimentReport,
 };
 
 use crate::campaign::CampaignConfig;
@@ -99,9 +99,8 @@ pub(crate) fn campaign_at(trial: TrialConfig, scale: ExperimentScale) -> Campaig
 }
 
 /// Runs one swept point: a builder-first campaign on the scale's thread
-/// count over the work-stealing engine. Every engine reduces in
-/// canonical trial order, so this is byte-identical to a serial run of
-/// the same seed.
+/// count. The campaign reduces in canonical trial order, so this is
+/// byte-identical to a one-thread run of the same seed.
 pub(crate) fn run_point(
     config: CampaignConfig,
     seed: u64,
@@ -111,7 +110,8 @@ pub(crate) fn run_point(
         .seed(seed)
         .threads(scale.threads)
         .build()
-        .run_stealing(scale.threads)
+        .run_auto()
+        .expect("a fixed-size campaign without a checkpoint cannot fail")
 }
 
 /// The common trial template all experiments start from (SSD A, ATX rig),

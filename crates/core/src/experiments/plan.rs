@@ -20,25 +20,25 @@
 //! 2. a confidence-driven plan ([`PlanSpec::ci`]) targeting that same
 //!    half-width must converge at **≥10x fewer trials** (Neyman
 //!    allocation concentrates rounds on the rare stratum);
-//! 3. the same adaptive plan re-run on the striped and work-stealing
-//!    engines must produce byte-identical reports;
+//! 3. the same adaptive plan re-run on 2 and 3 scheduler threads must
+//!    produce byte-identical reports;
 //! 4. an importance-splitting plan ([`PlanSpec::split`]) must place
 //!    deterministic, strictly ascending level thresholds and land its
 //!    deep-tail estimate within an order of magnitude of the known
 //!    rate;
 //! 5. a *real* planned campaign (actual fault-injection trials, not
-//!    microtrials) must agree byte-for-byte between serial and
-//!    threaded planned runs and across a mid-round checkpoint/resume.
+//!    microtrials) must agree byte-for-byte between 1-thread and
+//!    3-thread runs and across a mid-round checkpoint/resume.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{Campaign, CampaignReport, ProgressSignal};
+use crate::campaign::{Campaign, CampaignProgress, CampaignReport, Exec, ProgressSignal};
 use crate::error::PlatformError;
 use crate::experiments::{base_trial, campaign_at, ExperimentScale};
-use crate::plan::{run_plan, PlanEngine, PlanPoint, PlanReport, PlanSpec};
+use crate::plan::{run_plan, PlanPoint, PlanReport, PlanSpec};
 use crate::sweep::{SweepConfig, Sweeper};
 
 /// Trials the fixed-N baseline spends. Microtrials are pure RNG draws,
@@ -172,7 +172,7 @@ pub struct PlanExpReport {
     pub adaptive: PlanReport,
     /// `fixed.trials / adaptive.trials` — must be ≥ 10.
     pub gain: f64,
-    /// Serial/striped/stealing adaptive reports byte-equal.
+    /// Adaptive reports on 1, 2 and 3 threads byte-equal.
     pub engines_agree: bool,
     /// Importance-splitting run on the same point.
     pub split: PlanReport,
@@ -180,7 +180,7 @@ pub struct PlanExpReport {
     pub split_deterministic: bool,
     /// Trials the real planned fault-injection campaign ran.
     pub campaign_trials: u64,
-    /// Serial vs threaded planned campaign byte-equal.
+    /// 1-thread vs 3-thread planned campaign byte-equal.
     pub campaign_engines_agree: bool,
     /// Mid-round checkpoint/resume byte-equal to uninterrupted.
     pub campaign_resume_matches: bool,
@@ -215,44 +215,39 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     let (vulnerable_site, vulnerable_weight) = point.vulnerable();
 
     // 1. Fixed-N baseline: the band a classic campaign buys.
-    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, PlanEngine::Serial)?;
+    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, 1)?;
 
     // 2. Adaptive run targeting the baseline's achieved half-width.
     let eps = fixed.wilson.half_width();
     let adaptive_spec = PlanSpec::ci(eps, 0.95);
-    let adaptive = run_plan(&point, adaptive_spec, seed, PlanEngine::Serial)?;
+    let adaptive = run_plan(&point, adaptive_spec, seed, 1)?;
     let gain = fixed.trials as f64 / adaptive.trials.max(1) as f64;
 
-    // 3. Engine byte-equality on the adaptive plan.
-    let striped = run_plan(&point, adaptive_spec, seed, PlanEngine::Striped { threads: 3 })?;
-    let stealing = run_plan(
-        &point,
-        adaptive_spec,
-        seed,
-        PlanEngine::Stealing { threads: 3 },
-    )?;
-    let engines_agree = report_bytes(&adaptive) == report_bytes(&striped)
-        && report_bytes(&adaptive) == report_bytes(&stealing);
+    // 3. Thread-count byte-equality on the adaptive plan.
+    let two = run_plan(&point, adaptive_spec, seed, 2)?;
+    let three = run_plan(&point, adaptive_spec, seed, 3)?;
+    let engines_agree = report_bytes(&adaptive) == report_bytes(&two)
+        && report_bytes(&adaptive) == report_bytes(&three);
 
     // 4. Importance splitting, twice, for determinism.
-    let split = run_plan(&point, PlanSpec::split(3), seed, PlanEngine::Serial)?;
-    let split_again = run_plan(&point, PlanSpec::split(3), seed, PlanEngine::Serial)?;
+    let split = run_plan(&point, PlanSpec::split(3), seed, 1)?;
+    let split_again = run_plan(&point, PlanSpec::split(3), seed, 1)?;
     let split_deterministic = report_bytes(&split) == report_bytes(&split_again);
 
-    // 5. The real thing: a planned fault-injection campaign, serial vs
-    //    threaded, and a mid-round pause/resume.
+    // 5. The real thing: a planned fault-injection campaign on 1 and 3
+    //    threads, and a mid-round pause/resume.
     let config = campaign_at(base_trial(), scale);
     let serial = Campaign::builder(config)
         .plan(campaign_ci_spec())
         .seed(seed)
         .build()
-        .run_planned()?;
+        .run_auto()?;
     let threaded = Campaign::builder(config)
         .plan(campaign_ci_spec())
         .seed(seed)
         .threads(3)
         .build()
-        .run_planned()?;
+        .run_auto()?;
     let campaign_engines_agree = campaign_bytes(&serial) == campaign_bytes(&threaded);
 
     let dir = std::env::temp_dir().join("pfault-plan-exp");
@@ -267,16 +262,23 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
         .build();
     // Pause after trial 4 — mid-round for the 3-wide rounds — so the
     // resume has to pick the planner back up inside a round.
-    let paused = campaign.run_planned_observed(&mut |p| {
+    let mut pause_at_4 = |p: CampaignProgress<'_>| {
         if p.completed == 4 {
             ProgressSignal::Pause
         } else {
             ProgressSignal::Continue
         }
+    };
+    let paused = campaign.execute(Exec {
+        observer: Some(&mut pause_at_4),
+        resume: None,
     })?;
     let resumed = if paused.paused {
         campaign
-            .resume_planned_observed(&path, &mut |_| ProgressSignal::Continue)?
+            .execute(Exec {
+                resume: Some(&path),
+                ..Exec::default()
+            })?
             .report
     } else {
         paused.report.clone()
@@ -329,7 +331,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         fail("adaptive interval does not cover its own estimate".to_string());
     }
     if !report.engines_agree {
-        fail("serial/striped/stealing adaptive reports differ".to_string());
+        fail("adaptive reports differ across thread counts".to_string());
     }
     if !report.split_deterministic {
         fail("same-seed splitting runs differ".to_string());
@@ -354,7 +356,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         _ => fail("splitting produced no positive tail estimate".to_string()),
     }
     if !report.campaign_engines_agree {
-        fail("serial vs threaded planned campaigns differ".to_string());
+        fail("1-thread vs 3-thread planned campaigns differ".to_string());
     }
     if !report.campaign_resume_matches {
         fail("checkpoint/resume planned campaign differs from uninterrupted".to_string());

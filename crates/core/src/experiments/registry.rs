@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use serde_json::Value;
 
-use crate::campaign::{Campaign, CampaignConfig, ProgressSignal};
+use crate::campaign::{Campaign, CampaignConfig, Exec};
 use crate::error::PlatformError;
 use crate::plan::PlanSpec;
 use crate::platform::{TestPlatform, Watchdog};
@@ -30,45 +30,6 @@ use super::{
     kv, plan, psu, recovery, repeated, request_size, request_type, sequence, storm, vendors,
     wear, wss, ExperimentScale,
 };
-
-/// Which campaign engine `--exp campaign` drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineArg {
-    /// Serial for one thread, work-stealing otherwise
-    /// ([`Campaign::run_auto`]).
-    #[default]
-    Auto,
-    /// Single-threaded ([`Campaign::run_checked`]); the only engine that
-    /// honours checkpoints.
-    Serial,
-    /// Statically striped threads ([`Campaign::run_parallel`]).
-    Striped,
-    /// Work-stealing scheduler ([`Campaign::run_stealing`]).
-    Stealing,
-}
-
-impl EngineArg {
-    /// Parses a `--engine` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(EngineArg::Auto),
-            "serial" => Some(EngineArg::Serial),
-            "striped" => Some(EngineArg::Striped),
-            "stealing" => Some(EngineArg::Stealing),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineArg::Auto => "auto",
-            EngineArg::Serial => "serial",
-            EngineArg::Striped => "striped",
-            EngineArg::Stealing => "stealing",
-        }
-    }
-}
 
 /// Driver-provided options. Most apply only to the operational modes
 /// (`campaign`, `sweep`); figure experiments ignore them.
@@ -101,8 +62,6 @@ pub struct ExperimentOpts {
     pub trace_path: Option<PathBuf>,
     /// Worker threads for campaign mode (`None` = 1).
     pub threads: Option<usize>,
-    /// Campaign engine selection.
-    pub engine: EngineArg,
     /// Warm-up requests per trial configuration
     /// ([`crate::platform::TrialConfig::warmup_requests`]).
     pub warmup: Option<usize>,
@@ -125,7 +84,6 @@ impl Default for ExperimentOpts {
             metrics_path: None,
             trace_path: None,
             threads: None,
-            engine: EngineArg::Auto,
             warmup: None,
             snapshot_cache: true,
         }
@@ -443,7 +401,7 @@ impl Experiment for StormExperiment {
 /// Extension L with its fleet self-checks: an explicit run must prove
 /// that correlated cuts degrade MTTDL versus the independent baseline,
 /// that degraded reads and rebuild interruptions actually happened, and
-/// that the engines agree bit-for-bit.
+/// that 1-thread and 2-thread reductions agree bit-for-bit.
 struct FleetExperiment;
 
 impl Experiment for FleetExperiment {
@@ -451,10 +409,10 @@ impl Experiment for FleetExperiment {
         "fleet"
     }
     fn describe(&self) -> &'static str {
-        "Extension L — correlated outages vs erasure-coded fleets (self-checking; honours --engine)"
+        "Extension L — correlated outages vs erasure-coded fleets (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = fleet::run(ctx.scale, ctx.seed, ctx.opts.engine);
+        let report = fleet::run(ctx.scale, ctx.seed);
         let checks = fleet::check(&report, ctx.scale, ctx.seed);
         Ok(ExperimentReport {
             text: fleet::render(&report),
@@ -469,7 +427,8 @@ impl Experiment for FleetExperiment {
 /// must prove that every divergence class (surfaced, masked, silent
 /// poison) occurred, that the half-applying firmware poisoned strictly
 /// more than the CRC-verifying firmware at equal seeds, that journal
-/// batches actually tore, and that the engines agree bit-for-bit.
+/// batches actually tore, and that 1-thread and 2-thread reductions agree
+/// bit-for-bit.
 struct KvExperiment;
 
 impl Experiment for KvExperiment {
@@ -480,7 +439,7 @@ impl Experiment for KvExperiment {
         "Extension M — WAL'd KV store above the device: masking vs silent poison (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = kv::run(ctx.scale, ctx.seed, ctx.opts.engine);
+        let report = kv::run(ctx.scale, ctx.seed);
         let checks = kv::check(&report, ctx.scale, ctx.seed);
         Ok(ExperimentReport {
             text: kv::render(&report),
@@ -529,7 +488,7 @@ impl Experiment for CampaignExperiment {
         "campaign"
     }
     fn describe(&self) -> &'static str {
-        "one raw campaign: watchdog, retries, checkpoint/resume, --engine/--threads/--warmup"
+        "one raw campaign: watchdog, retries, checkpoint/resume, --threads/--warmup"
     }
     fn in_all(&self) -> bool {
         false
@@ -569,31 +528,13 @@ impl Experiment for CampaignExperiment {
         if let Some(path) = &o.checkpoint {
             builder = builder.checkpoint(path, o.checkpoint_every);
         }
-        let campaign = builder.build();
-        let adaptive = !matches!(spec, PlanSpec::Fixed { .. });
-        let report = if o.resume {
-            match &o.checkpoint {
-                Some(path) if adaptive => {
-                    campaign
-                        .resume_planned_observed(path, &mut |_| ProgressSignal::Continue)?
-                        .report
-                }
-                Some(path) => campaign.resume_from(path)?,
-                None => unreachable!("checked above"),
-            }
-        } else if adaptive {
-            // Adaptive plans size themselves round by round; the planned
-            // runner honours `threads` and is byte-identical either way,
-            // so the engine flag only picks serial vs scheduled rounds.
-            campaign.run_planned()?
-        } else {
-            match o.engine {
-                EngineArg::Auto => campaign.run_auto()?,
-                EngineArg::Serial => campaign.run_checked()?,
-                EngineArg::Striped => campaign.run_parallel(threads),
-                EngineArg::Stealing => campaign.run_stealing(threads),
-            }
-        };
+        let report = builder
+            .build()
+            .execute(Exec {
+                resume: o.checkpoint.as_deref().filter(|_| o.resume),
+                ..Exec::default()
+            })?
+            .report;
         let mut text = String::new();
         let mut checks = Vec::new();
         let _ = writeln!(text, "== Campaign: {} fault injections ==", report.faults);
@@ -603,8 +544,7 @@ impl Experiment for CampaignExperiment {
         }
         let _ = writeln!(
             text,
-            "engine {} with {} thread(s); warm-up {} request(s), snapshot cache {}",
-            o.engine.name(),
+            "{} thread(s); warm-up {} request(s), snapshot cache {}",
             threads,
             config.trial.warmup_requests,
             if o.snapshot_cache { "on" } else { "off" }
@@ -982,14 +922,13 @@ mod tests {
         let mut ctx = tiny_ctx();
         ctx.opts.plan = Some(PlanSpec::fixed(3));
         ctx.opts.threads = Some(2);
-        ctx.opts.engine = EngineArg::Stealing;
         ctx.opts.warmup = Some(8);
         let report = find("campaign")
             .expect("registered")
             .run(&ctx)
             .expect("campaign runs");
         assert_eq!(report.json_key, "campaign");
-        assert!(report.text.contains("engine stealing with 2 thread(s)"));
+        assert!(report.text.contains("2 thread(s)"));
         assert!(report.text.contains("warm-up 8 request(s)"));
         assert!(report.check_failures.is_empty(), "{:?}", report.check_failures);
         let faults = report
@@ -1005,13 +944,11 @@ mod tests {
         let exp = find("campaign").expect("registered");
         let mut serial_ctx = tiny_ctx();
         serial_ctx.opts.plan = Some(PlanSpec::fixed(4));
-        serial_ctx.opts.engine = EngineArg::Serial;
-        let mut stealing_ctx = serial_ctx.clone();
-        stealing_ctx.opts.engine = EngineArg::Stealing;
-        stealing_ctx.opts.threads = Some(3);
+        let mut threaded_ctx = serial_ctx.clone();
+        threaded_ctx.opts.threads = Some(3);
         let a = exp.run(&serial_ctx).expect("serial");
-        let b = exp.run(&stealing_ctx).expect("stealing");
-        assert_eq!(a.json, b.json, "engine choice must not change the report");
+        let b = exp.run(&threaded_ctx).expect("threaded");
+        assert_eq!(a.json, b.json, "thread count must not change the report");
     }
 
     #[test]

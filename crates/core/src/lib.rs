@@ -27,8 +27,8 @@
 //! * [`platform`] — [`platform::TestPlatform`]: runs a single trial
 //!   (workload → scheduled fault → discharge → recovery → verification);
 //! * [`analyzer`] — post-recovery classification;
-//! * [`campaign`] — many trials, serial or multi-threaded, aggregated into
-//!   a [`campaign::CampaignReport`];
+//! * [`campaign`] — many trials on the work-stealing [`scheduler`] at any
+//!   thread count, aggregated into a [`campaign::CampaignReport`];
 //! * [`experiments`] — one pre-configured experiment per paper
 //!   table/figure, producing printable report tables.
 //!
@@ -44,7 +44,8 @@
 //!     .plan(PlanSpec::fixed(3)) // 3 fault injections
 //!     .seed(42)
 //!     .build()
-//!     .run();
+//!     .run_auto()
+//!     .expect("campaign runs");
 //! assert_eq!(report.faults, 3);
 //! assert!(report.requests_issued > 0);
 //! ```
@@ -60,6 +61,7 @@ pub mod campaign;
 pub mod chart;
 pub mod error;
 pub mod experiments;
+pub mod fsutil;
 pub mod oracle;
 pub mod plan;
 pub mod platform;
@@ -71,12 +73,12 @@ pub mod sweep;
 
 pub use analyzer::{FailureKind, RequestVerdict};
 pub use campaign::{
-    Campaign, CampaignBuilder, CampaignConfig, CampaignProgress, CampaignReport, ObsAggregate,
-    ObservedRun, ProgressSignal, TrialFailures,
+    Campaign, CampaignBuilder, CampaignConfig, CampaignProgress, CampaignReport, Exec,
+    ObsAggregate, ObservedRun, ProgressSignal, TrialFailures,
 };
 pub use error::{CheckpointError, PlatformError, TrialError};
-pub use experiments::{EngineArg, Experiment, ExperimentCtx, ExperimentOpts, ExperimentReport};
-pub use plan::{Interval, PlanEngine, PlanPoint, PlanReport, PlanSpec, PlanState, Planner};
+pub use experiments::{Experiment, ExperimentCtx, ExperimentOpts, ExperimentReport};
+pub use plan::{Interval, PlanPoint, PlanReport, PlanSpec, PlanState, Planner};
 pub use platform::{TestPlatform, TrialConfig, TrialOutcome, Watchdog};
 pub use scheduler::{SchedulerStats, WorkerStats};
 pub use snapcache::{SnapshotCache, SnapshotCacheBuilder, SnapshotCacheStats, StatsScope};

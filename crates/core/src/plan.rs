@@ -21,17 +21,17 @@
 //!   it in their reports so checkpoint v6 can pause and resume an
 //!   adaptive run byte-identically.
 //! * [`PlanReport`] — per-point n, p̂, intervals, and the strata
-//!   breakdown; same seed + same spec ⇒ byte-identical report, across
-//!   the serial, striped, and work-stealing engines.
+//!   breakdown; same seed + same spec ⇒ byte-identical report at any
+//!   thread count.
 //!
 //! Determinism rules (also in DESIGN.md §16): every planner decision is
 //! a pure function of `(spec, tallies)`; trial outcomes are pure
 //! functions of `(stratum, index)`; rounds absorb results in canonical
-//! `(stratum, index)` order regardless of engine; splitting level
+//! `(stratum, index)` order regardless of thread count; splitting level
 //! thresholds are order statistics of deterministic pilot batches. No
 //! wall clock, no OS entropy, no thread-arrival dependence.
 
-use std::sync::mpsc;
+use std::ops::ControlFlow;
 
 use serde::{Deserialize, Serialize};
 
@@ -588,8 +588,8 @@ impl PlanState {
 
     /// Runs the planner decision at a round boundary: either extends
     /// the targets for another round or marks the state done. A pure
-    /// function of `(spec, tallies)`, so serial/striped/stealing
-    /// engines and paused/resumed runs all take identical decisions.
+    /// function of `(spec, tallies)`, so runs at any thread count and
+    /// paused/resumed runs all take identical decisions.
     pub fn advance(&mut self) -> Result<(), PlatformError> {
         if self.done {
             return Ok(());
@@ -759,7 +759,7 @@ impl PlanState {
 /// A round-allocation policy: given the tallies so far, how many more
 /// trials does each stratum get? Returning all zeros (or an empty
 /// vector) stops the point. Implementations must be pure functions of
-/// the state — no clocks, no entropy — so that every engine and every
+/// the state — no clocks, no entropy — so that every thread count and every
 /// pause/resume boundary reproduces the same decision.
 pub trait Planner {
     /// The spec this planner executes.
@@ -950,7 +950,7 @@ pub struct PlanReport {
 }
 
 // ---------------------------------------------------------------------------
-// PlanPoint + engines — running a plan over a microtrial point
+// PlanPoint — running a plan over a microtrial point
 // ---------------------------------------------------------------------------
 
 /// A point the planner can sample: a stable set of weighted strata and
@@ -966,37 +966,20 @@ pub trait PlanPoint: Sync {
     fn severity(&self, stratum: usize, index: u64) -> f64;
 }
 
-/// Which execution engine runs each round's trial batch. All three
-/// produce byte-identical reports: results are absorbed in canonical
-/// `(stratum, index)` order no matter which thread computed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanEngine {
-    /// One thread, in order.
-    Serial,
-    /// Static round-robin striping across threads.
-    Striped {
-        /// Worker thread count.
-        threads: usize,
-    },
-    /// Work-stealing scheduler (chunked deques, canonical reduce).
-    Stealing {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
 /// Runs `spec` over `point` and returns the final report.
 ///
-/// Fixed and confidence specs run in adaptive rounds; splitting specs
-/// run the multilevel driver (always serial — each level's batch is
-/// conditioned on the previous threshold). `seed` only feeds the
-/// splitting mixture sampler; round-based plans are fully determined by
-/// the point itself.
+/// Fixed and confidence specs run in adaptive rounds, each round on the
+/// work-stealing scheduler at `threads` workers; results are absorbed in
+/// canonical `(stratum, index)` order, so the report is byte-identical
+/// at any thread count. Splitting specs run the multilevel driver
+/// (always serial — each level's batch is conditioned on the previous
+/// threshold). `seed` only feeds the splitting mixture sampler;
+/// round-based plans are fully determined by the point itself.
 pub fn run_plan<P: PlanPoint>(
     point: &P,
     spec: PlanSpec,
     seed: u64,
-    engine: PlanEngine,
+    threads: usize,
 ) -> Result<PlanReport, PlatformError> {
     if matches!(spec, PlanSpec::Splitting { .. }) {
         return run_splitting(point, spec, seed);
@@ -1010,58 +993,25 @@ pub fn run_plan<P: PlanPoint>(
                 jobs.push((h, i));
             }
         }
-        let bits = run_round(point, &jobs, engine);
-        for (&(h, _), failed) in jobs.iter().zip(bits) {
-            state.absorb(h, failed);
-        }
+        // Each round runs on the scheduler; results are absorbed in
+        // the jobs' canonical order.
+        (state, _) = scheduler::run_work_stealing(
+            0..jobs.len() as u64,
+            threads,
+            scheduler::DEFAULT_CHUNK,
+            |j| {
+                let (h, i) = jobs[j as usize];
+                point.severity(h, i) >= 1.0
+            },
+            state,
+            |state: &mut PlanState, j, failed| {
+                state.absorb(jobs[j as usize].0, failed);
+                ControlFlow::Continue(())
+            },
+        );
         state.advance()?;
     }
     Ok(state.report())
-}
-
-/// Executes one round's jobs on the chosen engine, returning pass/fail
-/// bits in the same canonical order as `jobs`.
-fn run_round<P: PlanPoint>(point: &P, jobs: &[(usize, u64)], engine: PlanEngine) -> Vec<bool> {
-    let eval = |&(h, i): &(usize, u64)| point.severity(h, i) >= 1.0;
-    match engine {
-        PlanEngine::Serial => jobs.iter().map(eval).collect(),
-        PlanEngine::Striped { threads } => {
-            let workers = threads.max(1).min(jobs.len().max(1));
-            if workers <= 1 {
-                return jobs.iter().map(eval).collect();
-            }
-            let mut bits = vec![false; jobs.len()];
-            let (tx, rx) = mpsc::channel::<(usize, bool)>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut j = w;
-                        while j < jobs.len() {
-                            let _ = tx.send((j, eval(&jobs[j])));
-                            j += workers;
-                        }
-                    });
-                }
-                drop(tx);
-                for (j, bit) in rx {
-                    bits[j] = bit;
-                }
-            });
-            bits
-        }
-        PlanEngine::Stealing { threads } => {
-            let (bits, _stats) = scheduler::run_work_stealing(
-                jobs.len() as u64,
-                threads.max(1),
-                scheduler::DEFAULT_CHUNK,
-                |i| eval(&jobs[i as usize]),
-                Vec::with_capacity(jobs.len()),
-                |acc: &mut Vec<bool>, _i, bit| acc.push(bit),
-            );
-            bits
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1334,12 +1284,12 @@ mod tests {
     fn engines_agree_byte_for_byte() {
         let point = TwoStrata { fail_one_in: 8 };
         let spec = PlanSpec::ci(0.05, 0.95);
-        let serial = run_plan(&point, spec, 7, PlanEngine::Serial).unwrap();
-        let striped = run_plan(&point, spec, 7, PlanEngine::Striped { threads: 4 }).unwrap();
-        let stealing = run_plan(&point, spec, 7, PlanEngine::Stealing { threads: 4 }).unwrap();
+        let serial = run_plan(&point, spec, 7, 1).unwrap();
+        let three = run_plan(&point, spec, 7, 3).unwrap();
+        let four = run_plan(&point, spec, 7, 4).unwrap();
         let s0 = serde_json::to_string(&serial).unwrap();
-        assert_eq!(s0, serde_json::to_string(&striped).unwrap());
-        assert_eq!(s0, serde_json::to_string(&stealing).unwrap());
+        assert_eq!(s0, serde_json::to_string(&three).unwrap());
+        assert_eq!(s0, serde_json::to_string(&four).unwrap());
         assert!(serial.trials >= DEFAULT_MIN_TRIALS);
         assert!(serial.wilson.half_width() <= 0.05);
     }
@@ -1347,7 +1297,7 @@ mod tests {
     #[test]
     fn fixed_plan_runs_exactly_n_trials_apportioned_by_weight() {
         let point = TwoStrata { fail_one_in: 4 };
-        let report = run_plan(&point, PlanSpec::fixed(100), 1, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, PlanSpec::fixed(100), 1, 1).unwrap();
         assert_eq!(report.trials, 100);
         assert_eq!(report.strata[0].trials, 90);
         assert_eq!(report.strata[1].trials, 10);
@@ -1365,7 +1315,7 @@ mod tests {
             max_trials: 50_000,
             round: 32,
         };
-        let report = run_plan(&point, spec, 3, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, spec, 3, 1).unwrap();
         assert!(report.wilson.half_width() <= 0.01);
         assert!(report.trials <= 50_000);
         assert!(report.rounds >= 2, "should take multiple rounds");
@@ -1379,7 +1329,7 @@ mod tests {
             max_trials: 500,
             round: 64,
         };
-        let report = run_plan(&point, capped, 3, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, capped, 3, 1).unwrap();
         assert_eq!(report.trials, 500);
     }
 
@@ -1401,8 +1351,8 @@ mod tests {
             pilot: 64,
             per_level: 128,
         };
-        let a = run_plan(&point, spec, 11, PlanEngine::Serial).unwrap();
-        let b = run_plan(&point, spec, 11, PlanEngine::Serial).unwrap();
+        let a = run_plan(&point, spec, 11, 1).unwrap();
+        let b = run_plan(&point, spec, 11, 1).unwrap();
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()

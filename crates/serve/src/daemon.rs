@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pfault_platform::campaign::{Campaign, CampaignConfig, CampaignProgress, ProgressSignal};
+use pfault_platform::campaign::{
+    Campaign, CampaignBuilder, CampaignConfig, CampaignProgress, Exec, ProgressSignal,
+};
 use pfault_platform::experiments::{self, ExperimentCtx, ExperimentOpts, ExperimentScale};
 use pfault_platform::plan::PlanSpec;
 use pfault_platform::{snapcache, ObsAggregate};
@@ -370,6 +372,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 /// path, and the self-check's reference run all call this, which is
 /// what makes "byte-identical" meaningful.
 pub fn campaign_for(spec: &JobSpec) -> Result<Campaign, String> {
+    Ok(builder_for(spec)?.build())
+}
+
+fn builder_for(spec: &JobSpec) -> Result<CampaignBuilder, String> {
     let mut config = CampaignConfig::paper_default();
     match spec.profile.as_str() {
         "paper" => {}
@@ -413,7 +419,7 @@ pub fn campaign_for(spec: &JobSpec) -> Result<Campaign, String> {
     if let Some(plan) = &spec.plan {
         builder = builder.plan(*plan);
     }
-    Ok(builder.build())
+    Ok(builder)
 }
 
 /// The daemon-side campaign: `campaign_for` plus the spool checkpoint.
@@ -423,7 +429,9 @@ fn spooled_campaign(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Campaign
     } else {
         shared.config.checkpoint_every
     };
-    Ok(campaign_for(spec)?.with_checkpoint(shared.spool.checkpoint_path(id), every))
+    Ok(builder_for(spec)?
+        .checkpoint(shared.spool.checkpoint_path(id), every)
+        .build())
 }
 
 /// Trial totals of a finished job: the spec's count for classic jobs,
@@ -526,32 +534,23 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
             ProgressSignal::Continue
         }
     };
-    // The plan field picks the engine: planned jobs run (and resume)
-    // through the planner so round extension and convergence stopping
-    // replay byte-identically across daemon restarts.
-    let run = if spec.plan.is_some() {
-        if resume {
-            campaign.resume_planned_observed(&ckpt_path, &mut observer)
-        } else {
-            campaign.run_planned_observed(&mut observer)
-        }
-    } else if resume {
-        campaign.resume_observed(&ckpt_path, &mut observer)
-    } else {
-        campaign.run_observed(&mut observer)
-    }
-    .map_err(|e| e.to_string())?;
+    // Adaptive jobs resume with their planner state, so round extension
+    // and convergence stopping replay byte-identically across restarts.
+    let run = campaign
+        .execute(Exec {
+            observer: Some(&mut observer),
+            resume: resume.then_some(ckpt_path.as_path()),
+        })
+        .map_err(|e| e.to_string())?;
 
     if run.paused {
         return Ok(false);
     }
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
     spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
-    let total = if spec.plan.is_some() {
-        run.completed
-    } else {
-        spec.trials
-    };
+    // The planner, not the spec, decides when an adaptive run is done;
+    // a fixed run completes exactly its trial count.
+    let total = run.completed;
     spool
         .append_event(&JobEvent {
             job: id,
@@ -628,7 +627,9 @@ fn accept_loop(
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || handle_conn(&shared, stream));
-                lock_rec(conns).push(handle);
+                let mut conns = lock_rec(conns);
+                reap_finished(&mut conns);
+                conns.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -638,6 +639,19 @@ fn accept_loop(
     }
     // The listener drops here — after workers and streams wound down,
     // the socket closes last.
+}
+
+/// Joins and drops the handles of connection threads that already
+/// returned, so the list holds only live connections instead of growing
+/// with every ping and status call.
+fn reap_finished(conns: &mut Vec<std::thread::JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(conns)
+        .into_iter()
+        .partition(std::thread::JoinHandle::is_finished);
+    *conns = live;
+    for handle in done {
+        let _ = handle.join();
+    }
 }
 
 fn send(stream: &mut TcpStream, resp: &Response) -> Result<(), FrameError> {
@@ -851,5 +865,27 @@ fn attach(shared: &Arc<Shared>, stream: &mut TcpStream, job: u64, from_seq: u64)
             last_sent = Instant::now();
         }
         std::thread::sleep(poll);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn finished_connection_handles_are_reaped() {
+        let dir = std::env::temp_dir().join(format!("pfault-daemon-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("daemon starts");
+        let addr = daemon.local_addr().to_string();
+        for _ in 0..50 {
+            let mut client = Client::connect(&addr, 5_000).expect("client connects");
+            assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
+        }
+        let held = lock_rec(&daemon.conns).len();
+        assert!(held <= 5, "{held} connection handles held after 50 pings");
+        daemon.kill();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,15 +39,15 @@ pub struct JobSpec {
     pub obs: bool,
     /// Trials between durable checkpoints (0 = daemon default).
     pub checkpoint_every: u64,
-    /// Adaptive sizing: when set, campaign jobs run under the planner
-    /// ([`Campaign::run_planned_observed`]) — rounds extend or stop the
-    /// run by interval convergence, planner state checkpoints and
-    /// resumes with the report, and `status` rows carry the convergence
-    /// line. `None` keeps the classic fixed-`trials` loop. Splitting
-    /// specs are rejected at submit time: whole campaigns expose only
-    /// pass/fail bits, not severities.
+    /// Sizing plan ([`Campaign::execute`] runs it). A confidence plan
+    /// is adaptive — rounds extend or stop the run by interval
+    /// convergence, planner state checkpoints and resumes with the
+    /// report, and `status` rows carry the convergence line. A fixed
+    /// plan, like `None`, runs a fixed trial count and carries no
+    /// planner state. Splitting specs are rejected at submit time:
+    /// whole campaigns expose only pass/fail bits, not severities.
     ///
-    /// [`Campaign::run_planned_observed`]: pfault_platform::campaign::Campaign::run_planned_observed
+    /// [`Campaign::execute`]: pfault_platform::campaign::Campaign::execute
     pub plan: Option<PlanSpec>,
 }
 
@@ -128,7 +128,7 @@ pub struct JobInfo {
     /// Snapshot-cache misses attributed to this job.
     pub cache_misses: u64,
     /// Planner convergence line (round, n, p̂, interval) for jobs
-    /// running under an adaptive plan; empty for classic fixed jobs.
+    /// running under an adaptive plan; empty for fixed-size jobs.
     pub convergence: String,
 }
 

@@ -118,7 +118,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
     // -- Reference: the same spec run locally, uninterrupted. ---------
     let reference = campaign_for(&spec)
         .map_err(|e| e.to_string())
-        .and_then(|c| c.run_checked().map_err(|e| e.to_string()))
+        .and_then(|c| c.run_auto().map_err(|e| e.to_string()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     let reference = match reference {
         Ok(json) => json,
@@ -417,14 +417,14 @@ fn run_selfcheck(seed: u64) -> Outcome {
 
     // -- Phase 4: an adaptive (planned) job end-to-end. ---------------
     // Same spec, two runners: the daemon's planned path must land on
-    // the same bytes as a local `run_planned`, and the status row must
+    // the same bytes as a local `run_auto`, and the status row must
     // surface the planner's convergence line.
     let spool_p = scratch_dir("plan", seed);
     let mut adaptive_matches = false;
     let mut adaptive_convergence = false;
     let adaptive_spec = JobSpec::tiny_adaptive(seed ^ 7);
     let adaptive_reference = campaign_for(&adaptive_spec)
-        .and_then(|c| c.run_planned().map_err(|e| e.to_string()))
+        .and_then(|c| c.run_auto().map_err(|e| e.to_string()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     match (adaptive_reference, Daemon::start(DaemonConfig::new(&spool_p))) {
         (Ok(reference), Ok(daemon)) => {

@@ -3,13 +3,18 @@
 //! ```text
 //! spool/
 //!   job-7.spec.json    # the JobSpec, written atomically at accept time
-//!   job-7.ckpt.json    # the platform's campaign checkpoint (atomic
-//!                      # tmp+rename, written by with_checkpoint)
+//!   job-7.ckpt.json    # the platform's campaign checkpoint (written
+//!                      # by the campaign's `checkpoint` setting)
 //!   job-7.events.jsonl # append-only result journal, one JobEvent per
 //!                      # line, dense seq from 0
 //!   job-7.done.json    # final report JSON, written atomically when
 //!                      # the job completes
 //! ```
+//!
+//! Every whole-file write goes through
+//! [`pfault_platform::fsutil::write_atomic`]: the temp file is
+//! `fsync`ed before the rename and the directory after it, so a power
+//! cut cannot leave a durable rename over non-durable data.
 //!
 //! Write ordering is the whole durability argument:
 //!
@@ -30,6 +35,8 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+use pfault_platform::fsutil::write_atomic;
 
 use crate::proto::{JobEvent, JobSpec};
 
@@ -57,7 +64,7 @@ impl Spool {
     }
 
     /// Path of the job's campaign checkpoint (handed to the platform's
-    /// `with_checkpoint`).
+    /// `CampaignBuilder::checkpoint`).
     pub fn checkpoint_path(&self, job: u64) -> PathBuf {
         self.path(job, "ckpt.json")
     }
@@ -74,18 +81,12 @@ impl Spool {
         self.path(job, "done.json")
     }
 
-    fn write_atomic(&self, path: &Path, text: &str) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, path)
-    }
-
     /// Durably records a job spec (atomic tmp+rename). Must complete
     /// before the daemon acknowledges the submission.
     pub fn write_spec(&self, job: u64, spec: &JobSpec) -> std::io::Result<()> {
         let text = serde_json::to_string(spec)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.write_atomic(&self.spec_path(job), &text)
+        write_atomic(&self.spec_path(job), text.as_bytes())
     }
 
     /// Reads a job spec back.
@@ -149,7 +150,7 @@ impl Spool {
             clean.push('\n');
         }
         if clean != on_disk {
-            self.write_atomic(&path, &clean)?;
+            write_atomic(&path, clean.as_bytes())?;
         }
         Ok(events)
     }
@@ -166,7 +167,7 @@ impl Spool {
     /// Durably records the final report JSON (atomic tmp+rename). Must
     /// complete before the `done` event is journaled.
     pub fn write_done(&self, job: u64, report_json: &str) -> std::io::Result<()> {
-        self.write_atomic(&self.done_path(job), report_json)
+        write_atomic(&self.done_path(job), report_json.as_bytes())
     }
 
     /// The final report JSON, if the job completed.

@@ -10,6 +10,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 
 use pfault_serve::client::Client;
 use pfault_serve::daemon::{campaign_for, Daemon, DaemonConfig};
+use pfault_platform::plan::PlanSpec;
 use pfault_serve::proto::JobSpec;
 use pfault_serve::spool::Spool;
 
@@ -26,7 +27,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 fn reference_report(spec: &JobSpec) -> String {
     let report = campaign_for(spec)
         .expect("spec builds a campaign")
-        .run_checked()
+        .run_auto()
         .expect("reference run succeeds");
     serde_json::to_string(&report).expect("report serializes")
 }
@@ -175,5 +176,35 @@ fn restart_with_no_checkpoint_reruns_from_scratch_deterministically() {
     );
     let dense: Vec<u64> = (0..seqs.len() as u64).collect();
     assert_eq!(seqs, dense, "replayed journal is not dense from 0");
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
+#[test]
+fn fixed_plan_job_is_byte_equal_to_the_local_run() {
+    // A job sized by an explicit `fixed:N` plan runs exactly like the
+    // same spec run locally: no planner state rides along in the report.
+    let mut spec = JobSpec::tiny_campaign(77);
+    spec.plan = Some(PlanSpec::fixed(4));
+    let reference = reference_report(&spec);
+    assert!(reference.contains("\"plan\":null"), "{reference}");
+    let spool_dir = scratch("fixed-plan");
+
+    let daemon = Daemon::start(DaemonConfig::new(&spool_dir)).expect("daemon starts");
+    let addr = daemon.local_addr().to_string();
+    let mut client = Client::connect(&addr, 20_000).expect("client connects");
+    let job = client
+        .submit(&spec)
+        .expect("submit succeeds")
+        .expect("queue has room");
+    let mut done_body = None;
+    for event in client.attach(job, 0).expect("attach succeeds") {
+        let event = event.expect("stream is clean");
+        if event.kind == "done" {
+            done_body = Some(event.body);
+        }
+    }
+    daemon.kill();
+
+    assert_eq!(done_body.as_deref(), Some(reference.as_str()));
     let _ = std::fs::remove_dir_all(&spool_dir);
 }

@@ -14,7 +14,12 @@ fn main() {
     config.trials = 20; // twenty fault injections
     config.requests_per_trial = 60;
 
-    let report = Campaign::new(config, 42).run_parallel(4);
+    let report = Campaign::builder(config)
+        .seed(42)
+        .threads(4)
+        .build()
+        .run_auto()
+        .expect("campaign runs");
 
     println!("faults injected:        {}", report.faults);
     println!("requests issued:        {}", report.requests_issued);

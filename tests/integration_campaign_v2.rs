@@ -157,59 +157,50 @@ proptest! {
     }
 }
 
-/// Serial, striped, and work-stealing engines, with the snapshot cache
-/// on or off, all produce byte-identical reports — per vendor, with the
-/// probe bus on so the order-sensitive `obs` aggregates are covered too.
+/// One, three and four threads, with the snapshot cache on or off, all
+/// produce byte-identical reports — per vendor, with the probe bus on so
+/// the order-sensitive `obs` aggregates are covered too.
 #[test]
 fn engines_and_snapshotting_agree_byte_for_byte() {
     for (i, vendor) in VendorPreset::all().into_iter().enumerate() {
         let config = campaign_config(vendor, 16, true);
         let seed = 0xC0FFEE ^ (i as u64) << 17;
-        let baseline = bytes(
-            &Campaign::builder(config)
+        let run = |threads: usize, cache: bool| {
+            let report = Campaign::builder(config)
                 .seed(seed)
-                .snapshot_cache(false)
+                .threads(threads)
+                .snapshot_cache(cache)
                 .build()
-                .run(),
-        );
-        let cached = Campaign::builder(config).seed(seed).build();
+                .run_auto()
+                .expect("campaign runs");
+            bytes(&report)
+        };
+        let baseline = run(1, false);
         assert_eq!(
-            bytes(&cached.run()),
+            run(1, true),
             baseline,
-            "{vendor:?}: snapshot cloning changed the serial report"
-        );
-        assert_eq!(
-            bytes(&cached.run_parallel(3)),
-            baseline,
-            "{vendor:?}: striped engine changed the report"
+            "{vendor:?}: snapshot cloning changed the one-thread report"
         );
         assert_eq!(
-            bytes(&cached.run_stealing(3)),
+            run(3, true),
             baseline,
-            "{vendor:?}: work-stealing engine changed the report"
+            "{vendor:?}: 3 threads changed the report"
         );
-        let auto = Campaign::builder(config)
-            .seed(seed)
-            .threads(3)
-            .build()
-            .run_auto()
-            .expect("auto run");
         assert_eq!(
-            bytes(&auto),
+            run(4, false),
             baseline,
-            "{vendor:?}: run_auto changed the report"
+            "{vendor:?}: 4 threads without the cache changed the report"
         );
     }
 }
 
-/// `run_parallel` and the work-stealing scheduler both cap their thread
-/// pool at the trial count — oversubscription must not change results.
+/// The scheduler caps its thread pool at the trial count —
+/// oversubscription must not change results.
 #[test]
 fn oversubscribed_threads_are_harmless() {
     let config = campaign_config(VendorPreset::SsdC, 8, false);
     let campaign = Campaign::builder(config).seed(99).build();
-    let baseline = bytes(&campaign.run());
-    assert_eq!(bytes(&campaign.run_parallel(64)), baseline);
+    let baseline = bytes(&campaign.run_auto().expect("campaign runs"));
     let (report, stats) = campaign.run_stealing_with_stats(64);
     assert_eq!(bytes(&report), baseline);
     assert_eq!(stats.threads, config.trials, "threads clamp to trial count");

@@ -72,7 +72,7 @@ fn campaign_aggregates_per_failure_class_telemetry() {
         trials: 6,
         requests_per_trial: 40,
     };
-    let report = Campaign::new(config, 11).run();
+    let report = Campaign::new(config, 11).run_auto().expect("campaign runs");
     assert_eq!(report.obs.trials_observed, 6);
     assert!(!report.obs.is_empty(), "campaign obs aggregate is empty");
     assert!(!report.obs.by_class.is_empty(), "no per-class telemetry");

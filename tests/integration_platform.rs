@@ -1,11 +1,21 @@
 //! Cross-crate integration: the full platform pipeline (workload →
 //! device → fault → tracer → analyzer) behaves coherently.
 
-use pfault_platform::campaign::{Campaign, CampaignConfig};
+use pfault_platform::campaign::{Campaign, CampaignConfig, CampaignReport};
 use pfault_platform::platform::{TestPlatform, TrialConfig};
 use pfault_platform::FailureKind;
 use pfault_sim::storage::GIB;
 use pfault_workload::WorkloadSpec;
+
+/// `config` at `seed` on `threads` workers.
+fn run_at(config: CampaignConfig, seed: u64, threads: usize) -> CampaignReport {
+    Campaign::builder(config)
+        .seed(seed)
+        .threads(threads)
+        .build()
+        .run_auto()
+        .expect("campaign runs")
+}
 
 fn small_trial() -> TrialConfig {
     let mut c = TrialConfig::paper_default();
@@ -85,8 +95,8 @@ fn campaign_serial_equals_parallel() {
         trials: 8,
         requests_per_trial: 30,
     };
-    let serial = Campaign::new(config, 3).run();
-    let parallel = Campaign::new(config, 3).run_parallel(4);
+    let serial = run_at(config, 3, 1);
+    let parallel = run_at(config, 3, 4);
     assert_eq!(serial.counts, parallel.counts);
     assert_eq!(serial.requests_issued, parallel.requests_issued);
     assert_eq!(
@@ -101,9 +111,9 @@ fn failure_ledger_is_deterministic_between_serial_and_parallel() {
 
     // A config that actually produces trial failures: a tight event budget
     // expires some trials, and the spared ones face a coin-flip mount
-    // failure with a single retry, so some devices brick. The parallel
-    // runner strides trials across workers and merges; the resulting
-    // failures ledger must be *exactly* equal to the serial one —
+    // failure with a single retry, so some devices brick. The threaded
+    // run steals trials across workers and merges; the resulting
+    // failures ledger must be *exactly* equal to the one-thread one —
     // same indices, same causes, same (sorted) order.
     let mut config = CampaignConfig {
         trial: small_trial(),
@@ -120,8 +130,8 @@ fn failure_ledger_is_deterministic_between_serial_and_parallel() {
     config.trial.ssd.mount_failure_rate = 0.5;
     config.trial.ssd.mount_retry_limit = 1;
 
-    let serial = Campaign::new(config, 11).run();
-    let parallel = Campaign::new(config, 11).run_parallel(4);
+    let serial = run_at(config, 11, 1);
+    let parallel = run_at(config, 11, 4);
 
     assert!(
         serial.failures.total_failed() > 0,

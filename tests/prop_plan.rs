@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use pfault_platform::campaign::{Campaign, CampaignConfig, ProgressSignal};
+use pfault_platform::campaign::{Campaign, CampaignConfig, CampaignProgress, Exec, ProgressSignal};
 use pfault_platform::plan::{clopper_pearson, wilson, PlanSpec, PlanState};
 
 /// Binomial pmf in log space — finite for every n this file sweeps.
@@ -165,9 +165,8 @@ proptest! {
             Campaign::builder(tiny_config())
                 .seed(seed)
                 .plan(loose_ci())
-                .build()
         };
-        let golden = build().run_planned().expect("uninterrupted planned run");
+        let golden = build().build().run_auto().expect("uninterrupted planned run");
         let golden = serde_json::to_string(&golden).expect("report serializes");
 
         let dir = std::env::temp_dir().join("pfault-prop-plan");
@@ -177,19 +176,20 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&ckpt);
-        let campaign = build().with_checkpoint(&ckpt, 2);
+        let campaign = build().checkpoint(&ckpt, 2).build();
+        let mut observer = |p: CampaignProgress<'_>| {
+            if p.completed == pause {
+                ProgressSignal::Pause
+            } else {
+                ProgressSignal::Continue
+            }
+        };
         let run = campaign
-            .run_planned_observed(&mut |p| {
-                if p.completed == pause {
-                    ProgressSignal::Pause
-                } else {
-                    ProgressSignal::Continue
-                }
-            })
+            .execute(Exec { observer: Some(&mut observer), resume: None })
             .expect("paused planned run");
         prop_assert!(run.paused, "pause at {pause} must interrupt a >=9-trial run");
         let resumed = campaign
-            .resume_planned_observed(&ckpt, &mut |_| ProgressSignal::Continue)
+            .execute(Exec { resume: Some(&ckpt), ..Exec::default() })
             .expect("resumed planned run")
             .report;
         let resumed = serde_json::to_string(&resumed).expect("report serializes");
