@@ -46,11 +46,13 @@
 #                  tests, then one short run per workload; exits
 #                  non-zero on a report-digest mismatch against
 #                  perfbench/digests.txt
+#   make golden  — byte-identity gate: quick-scale repro JSON, two pfio
+#                  runs and blkdump must cmp equal to tests/golden/
 #   make check   — everything CI runs
 
 CARGO ?= cargo
 
-.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench bench-smoke bench-gate check clean
+.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden bench bench-smoke bench-gate check clean
 
 all: check
 
@@ -169,7 +171,21 @@ plan-smoke: build
 	./target/release/repro --exp plan --json target/plan-b.json
 	cmp target/plan-a.json target/plan-b.json
 
-check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench-smoke bench-gate
+# Byte-identity gate: every output here is deterministic, so a refactor
+# must reproduce the committed copies in tests/golden/ exactly. A change
+# that alters results must regenerate the goldens (rerun each command
+# below into tests/golden/) and say so in CHANGES.md.
+golden: build
+	./target/release/repro --scale quick --json target/golden-repro-quick.json > /dev/null
+	cmp target/golden-repro-quick.json tests/golden/repro-quick.json
+	./target/release/pfio > target/golden-pfio-default.txt
+	cmp target/golden-pfio-default.txt tests/golden/pfio-default.txt
+	./target/release/pfio --qd 8 --mixed-sizes --write-pct 50 > target/golden-pfio-qd8-mixed.txt
+	cmp target/golden-pfio-qd8-mixed.txt tests/golden/pfio-qd8-mixed.txt
+	./target/release/blkdump > target/golden-blkdump-default.txt
+	cmp target/golden-blkdump-default.txt tests/golden/blkdump-default.txt
+
+check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden bench-smoke bench-gate
 
 clean:
 	$(CARGO) clean

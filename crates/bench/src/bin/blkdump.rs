@@ -16,14 +16,13 @@ use std::collections::BTreeMap;
 use std::env;
 use std::process::ExitCode;
 
+use pfault_platform::host::HostDriver;
 use pfault_power::FaultInjector;
 use pfault_sim::storage::GIB;
-use pfault_sim::{DetRng, SectorCount, SimDuration};
-use pfault_ssd::device::{HostCommand, Ssd};
+use pfault_sim::{DetRng, SimDuration};
+use pfault_ssd::device::Ssd;
 use pfault_ssd::VendorPreset;
-use pfault_trace::{
-    analyze, parse_trace_jsonl_line, parse_trace_text, render_trace_events, BlockTracer,
-};
+use pfault_trace::{analyze, parse_trace_jsonl_line, parse_trace_text, render_trace_events};
 use pfault_workload::{WorkloadGenerator, WorkloadSpec};
 
 /// Consumes a probe-bus JSONL file: parses every line, checks sequence
@@ -123,48 +122,22 @@ fn main() -> ExitCode {
     let mut ssd = Ssd::new(VendorPreset::SsdA.config(), root.fork("ssd"));
     let spec = WorkloadSpec::builder().wss_bytes(8 * GIB).build();
     let mut generator = WorkloadGenerator::new(spec, root.fork("workload"));
-    let mut tracer = BlockTracer::new(SectorCount::new(ssd.config().max_segment_sectors));
+    let mut host = HostDriver::new(ssd.config().max_segment_sectors, None, requests);
 
-    let mut outstanding = 0usize;
-    let mut issued = 0usize;
-    while issued < requests {
-        for c in ssd.drain_completions() {
-            outstanding -= 1;
-            if c.acked() {
-                tracer.complete(c.request_id, c.sub_id, c.time);
-            } else {
-                tracer.error(c.request_id, c.sub_id, c.time);
-            }
+    while host.issued() < requests {
+        // Drain before refilling: one request at a time, the next one
+        // queued the moment the last completes.
+        host.drain(&mut ssd);
+        if host.outstanding() == 0 {
+            host.submit(&mut ssd, generator.next_packet());
         }
-        if outstanding == 0 {
-            let p = generator.next_packet();
-            let subs = tracer.queue_request(p.id, p.lba, p.sectors, p.is_write, ssd.now());
-            let mut offset = 0;
-            for sub in subs {
-                tracer.dispatch(p.id, sub.sub_id, ssd.now());
-                ssd.submit(
-                    HostCommand::write(p.id, sub.sub_id, sub.lba, sub.sectors, p.payload_tag)
-                        .with_payload_offset(offset),
-                );
-                offset += sub.sectors.get();
-                outstanding += 1;
-            }
-            issued += 1;
-        }
-        if let Some(t) = ssd.next_event() {
-            ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-        }
+        ssd.step(None);
     }
     // Pull the plug with the last request possibly in flight.
     let timeline = FaultInjector::arduino_atx_loaded().timeline(ssd.now());
     ssd.power_fail(&timeline);
-    for c in ssd.drain_completions() {
-        if c.acked() {
-            tracer.complete(c.request_id, c.sub_id, c.time);
-        } else {
-            tracer.error(c.request_id, c.sub_id, c.time);
-        }
-    }
+    host.drain(&mut ssd);
+    let (_, _, tracer) = host.into_results();
 
     let text = tracer.to_text();
     println!("== raw event stream (blkparse format) ==");

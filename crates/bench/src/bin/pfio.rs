@@ -21,11 +21,12 @@ use std::env;
 use std::process::ExitCode;
 
 use pfault_obs::Metrics;
+use pfault_platform::host::HostDriver;
 use pfault_sim::storage::{GIB, KIB};
-use pfault_sim::{DetRng, SectorCount, SimDuration};
-use pfault_ssd::device::{HostCommand, Ssd};
+use pfault_sim::{DetRng, SimDuration};
+use pfault_ssd::device::Ssd;
 use pfault_ssd::VendorPreset;
-use pfault_trace::{analyze, BlockTracer};
+use pfault_trace::analyze;
 use pfault_workload::{AccessPattern, ArrivalModel, SizeSpec, WorkloadGenerator, WorkloadSpec};
 
 struct Args {
@@ -152,59 +153,36 @@ fn main() -> ExitCode {
         ssd.enable_probes();
     }
     let mut generator = WorkloadGenerator::new(spec, root.fork("workload"));
-    let mut tracer = BlockTracer::new(SectorCount::new(ssd.config().max_segment_sectors));
+    let mut host = HostDriver::new(ssd.config().max_segment_sectors, None, args.requests);
 
     let deadline = args.watchdog_ms.map(SimDuration::from_millis);
-    let mut issued = 0usize;
-    let mut outstanding = 0usize;
-    let mut bytes = 0u64;
-    while issued < args.requests || outstanding > 0 {
+    while host.issued() < args.requests || host.outstanding() > 0 {
         if let Some(cap) = deadline {
             if ssd.now().as_micros() > cap.as_micros() {
                 eprintln!(
                     "watchdog: workload did not finish within {} ms of simulated time \
                      ({} of {} requests issued, {} outstanding)",
                     args.watchdog_ms.unwrap_or(0),
-                    issued,
+                    host.issued(),
                     args.requests,
-                    outstanding
+                    host.outstanding()
                 );
                 return ExitCode::FAILURE;
             }
         }
-        for c in ssd.drain_completions() {
-            outstanding -= 1;
-            if c.acked() {
-                tracer.complete(c.request_id, c.sub_id, c.time);
-            } else {
-                tracer.error(c.request_id, c.sub_id, c.time);
-            }
+        // Drain before refilling: slots freed in this step are refilled
+        // at once, which sets the closed loop's IOPS.
+        host.drain(&mut ssd);
+        while host.outstanding() < args.queue_depth as usize && host.issued() < args.requests {
+            host.submit(&mut ssd, generator.next_packet());
         }
-        while outstanding < args.queue_depth as usize && issued < args.requests {
-            let p = generator.next_packet();
-            bytes += p.sectors.bytes();
-            let subs = tracer.queue_request(p.id, p.lba, p.sectors, p.is_write, ssd.now());
-            let mut offset = 0;
-            for sub in subs {
-                tracer.dispatch(p.id, sub.sub_id, ssd.now());
-                let cmd = if p.is_write {
-                    HostCommand::write(p.id, sub.sub_id, sub.lba, sub.sectors, p.payload_tag)
-                        .with_payload_offset(offset)
-                } else {
-                    HostCommand::read(p.id, sub.sub_id, sub.lba, sub.sectors)
-                };
-                offset += sub.sectors.get();
-                ssd.submit(cmd);
-                outstanding += 1;
-            }
-            issued += 1;
-        }
-        if let Some(t) = ssd.next_event() {
-            ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-        } else if outstanding > 0 {
-            ssd.advance_to(ssd.now() + SimDuration::from_millis(1));
+        if !ssd.step(None) && host.outstanding() > 0 {
+            eprintln!("stall: device idle with {} outstanding", host.outstanding());
+            return ExitCode::FAILURE;
         }
     }
+    let (records, _, tracer) = host.into_results();
+    let bytes: u64 = records.iter().map(|r| r.packet.sectors.bytes()).sum();
 
     let elapsed = ssd.now();
     let report = analyze(tracer.events(), SimDuration::from_secs(30), elapsed);

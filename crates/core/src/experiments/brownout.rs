@@ -84,19 +84,8 @@ fn sag_trial(floor: Millivolts, seed: u64) -> (bool, u64) {
         let lba = Lba::new(rng.below(wss - sectors.get()));
         let cmd = HostCommand::write(id, 0, lba, sectors, rng.next_u64());
         ssd.submit(cmd);
-        loop {
-            if ssd
-                .drain_completions()
-                .iter()
-                .any(|c| c.request_id == id && c.acked())
-            {
-                break;
-            }
-            let next = ssd
-                .next_event()
-                .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-            ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-        }
+        let ack = ssd.run_until_complete(id);
+        assert!(ack.is_some_and(|c| c.acked()), "write {id} not acked");
         acked.push(cmd);
     }
     // One more command in flight when the sag begins.

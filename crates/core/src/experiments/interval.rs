@@ -102,16 +102,8 @@ fn marker_trial(delay: SimDuration, cache_enabled: bool, seed: u64) -> bool {
         let lba = Lba::new(rng.below(wss_sectors - sectors.get()));
         ssd.submit(HostCommand::write(id, 0, lba, sectors, rng.next_u64()));
         // Serial submission: wait for the ACK.
-        loop {
-            let comps = ssd.drain_completions();
-            if comps.iter().any(|c| c.request_id == id && c.acked()) {
-                break;
-            }
-            let next = ssd
-                .next_event()
-                .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-            ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-        }
+        let ack = ssd.run_until_complete(id);
+        assert!(ack.is_some_and(|c| c.acked()), "write {id} not acked");
     }
 
     // The marker request.
@@ -121,17 +113,8 @@ fn marker_trial(delay: SimDuration, cache_enabled: bool, seed: u64) -> bool {
     let marker_tag = rng.next_u64();
     let marker = HostCommand::write(marker_id, 0, marker_lba, marker_sectors, marker_tag);
     ssd.submit(marker);
-    let ack_time = loop {
-        let comps = ssd.drain_completions();
-        if let Some(c) = comps.iter().find(|c| c.request_id == marker_id) {
-            assert!(c.acked(), "marker must complete before the fault");
-            break c.time;
-        }
-        let next = ssd
-            .next_event()
-            .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-        ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-    };
+    let ack = ssd.run_until_complete(marker_id).filter(|c| c.acked());
+    let ack_time = ack.expect("marker must be acked before the fault").time;
 
     // Idle until ACK + delay, then inject. (The event loop above may have
     // stepped slightly past the ACK instant; never command in the past.)

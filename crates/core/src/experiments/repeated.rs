@@ -109,19 +109,8 @@ fn device_run(cycles: u64, writes_per_cycle: u64, seed: u64) -> Vec<(u64, u64, u
             let cmd = HostCommand::write(next_id, 0, lba, sectors, rng.next_u64());
             next_id += 1;
             ssd.submit(cmd);
-            loop {
-                if ssd
-                    .drain_completions()
-                    .iter()
-                    .any(|c| c.request_id == cmd.request_id)
-                {
-                    break;
-                }
-                let next = ssd
-                    .next_event()
-                    .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-                ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-            }
+            ssd.run_until_complete(cmd.request_id)
+                .expect("write completes on a mounted device");
             fresh.push(cmd);
         }
 

@@ -24,6 +24,8 @@
 //!
 //! * [`oracle`] — expected device contents (last-ACKed write per sector);
 //! * [`record`] — per-request bookkeeping (Fig 2 header fields);
+//! * [`host`] — [`host::HostDriver`]: data packets in, device commands
+//!   out, completions back into records, oracle and tracer;
 //! * [`platform`] — [`platform::TestPlatform`]: runs a single trial
 //!   (workload → scheduled fault → discharge → recovery → verification);
 //! * [`analyzer`] — post-recovery classification;
@@ -62,6 +64,7 @@ pub mod chart;
 pub mod error;
 pub mod experiments;
 pub mod fsutil;
+pub mod host;
 pub mod oracle;
 pub mod plan;
 pub mod platform;

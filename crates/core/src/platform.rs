@@ -8,20 +8,18 @@
 
 use serde::{Deserialize, Serialize};
 
-use pfault_flash::array::PageData;
 use pfault_obs::{Metrics, ProbeRecord};
 use pfault_power::{FaultInjector, FaultTimeline};
 use pfault_sim::checksum::fnv64;
-use pfault_sim::{DetRng, Lba, SectorCount, SimDuration, SimTime};
-use pfault_ssd::device::{HostCommand, Ssd};
-use pfault_ssd::{Completion, RecoveryReport, SsdConfig, VendorPreset};
-use pfault_trace::{analyze, BlockTracer};
+use pfault_sim::{DetRng, SimDuration, SimTime};
+use pfault_ssd::device::Ssd;
+use pfault_ssd::{RecoveryReport, SsdConfig, VendorPreset};
+use pfault_trace::analyze;
 use pfault_workload::{ArrivalModel, WorkloadGenerator, WorkloadSpec};
 
 use crate::analyzer::{classify_all, FailureCounts, RequestVerdict};
 use crate::error::TrialError;
-use crate::oracle::Oracle;
-use crate::record::RequestRecord;
+use crate::host::HostDriver;
 
 /// Per-trial runaway protection: bounds on simulated time and event-loop
 /// iterations. A trial that exceeds either bound ends with
@@ -81,7 +79,8 @@ pub struct TrialConfig {
     /// command — so faults land at arbitrary phases of the IO pipeline.
     pub fault_jitter_us: u64,
     /// Issue a FLUSH barrier after every N write requests (fsync-style),
-    /// blocking the closed loop until it completes. `None` = never.
+    /// under every arrival model. The barrier takes one queue slot; the
+    /// host keeps submitting while it is pending. `None` = never.
     pub flush_every: Option<u64>,
     /// Runaway-trial protection.
     pub watchdog: Watchdog,
@@ -320,37 +319,41 @@ impl TestPlatform {
     fn warm_ssd(&self) -> Ssd {
         let root = DetRng::new(self.config_digest()).fork("warmup");
         let mut ssd = Ssd::new(self.config.ssd, root.fork("ssd"));
-        let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
-        let oracle = Oracle::new();
-        let mut records: Vec<RequestRecord> = Vec::new();
+        self.run_closed(&mut ssd, &root, self.config.warmup_requests, false);
+        ssd.quiesce();
+        ssd.drain_completions();
+        ssd
+    }
+
+    /// The closed loop shared by the warm-up and
+    /// [`TestPlatform::run_fault_free`]: `total` packets at the
+    /// workload's queue depth (64 under open-loop arrivals), no FLUSH
+    /// barriers. Untracked (the warm-up), completions are only counted
+    /// off: an oracle of every warm write would cost memory for nothing.
+    /// Panics if the device goes idle with requests outstanding.
+    fn run_closed(&self, ssd: &mut Ssd, root: &DetRng, total: usize, tracked: bool) -> HostDriver {
         let queue_depth = match self.config.workload.arrival {
             ArrivalModel::ClosedLoop { queue_depth } => queue_depth as usize,
             ArrivalModel::OpenLoop { .. } | ArrivalModel::OpenLoopPoisson { .. } => 64,
         };
-        let total = self.config.warmup_requests;
-        let mut issued = 0usize;
-        let mut outstanding = 0usize;
-        while issued < total || outstanding > 0 {
-            while outstanding < queue_depth && issued < total {
-                let packet = generator.next_packet();
-                let subs =
-                    Self::submit_packet(&mut ssd, &mut tracer, &oracle, &mut records, packet);
-                issued += 1;
-                outstanding += subs;
+        let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
+        let mut host = HostDriver::new(self.config.ssd.max_segment_sectors, None, total);
+        while host.issued() < total || host.outstanding() > 0 {
+            // Submit before draining, unlike the trial loop: every warm
+            // image and fault-free baseline was recorded in this order.
+            while host.outstanding() < queue_depth && host.issued() < total {
+                host.submit(ssd, generator.next_packet());
             }
-            for _c in ssd.drain_completions() {
-                outstanding = outstanding.saturating_sub(1);
+            if tracked {
+                host.drain(ssd);
+            } else {
+                host.discard_completions(ssd);
             }
-            if let Some(t) = ssd.next_event() {
-                ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-            } else if outstanding > 0 {
-                ssd.advance_to(ssd.now() + SimDuration::from_millis(1));
+            if !ssd.step(None) {
+                assert_eq!(host.outstanding(), 0, "idle with requests outstanding");
             }
         }
-        ssd.quiesce();
-        ssd.drain_completions();
-        ssd
+        host
     }
 
     /// Runs the warm-up once and captures the result as a frozen
@@ -371,22 +374,17 @@ impl TestPlatform {
             ssd.enable_probes();
         }
         let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
-        let mut oracle = Oracle::new();
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(self.config.requests);
+        let mut host = HostDriver::new(
+            self.config.ssd.max_segment_sectors,
+            self.config.flush_every,
+            self.config.requests,
+        );
 
         let total = self.config.requests;
         let (lo, hi) = self.config.fault_after_fraction;
         let trigger_at = ((total as f64) * (lo + (hi - lo) * sched_rng.unit_f64())) as u64;
         let jitter = SimDuration::from_micros(sched_rng.below(self.config.fault_jitter_us.max(1)));
 
-        let queue_depth = match self.config.workload.arrival {
-            ArrivalModel::ClosedLoop { queue_depth } => queue_depth as usize,
-            ArrivalModel::OpenLoop { .. } | ArrivalModel::OpenLoopPoisson { .. } => usize::MAX,
-        };
-
-        let mut issued = 0usize;
-        let mut outstanding = 0usize;
         let mut completed = 0u64;
         let mut fault: Option<FaultTimeline> = None;
         let mut next_arrival: Option<SimTime> = None;
@@ -394,12 +392,6 @@ impl TestPlatform {
         // Pre-generate nothing: packets are drawn lazily so sequence modes
         // stay aligned with submission order.
         let mut pending_packet: Option<pfault_workload::DataPacket> = None;
-
-        // FLUSH barriers use ids far above any data request and are not
-        // entered into the records (the paper tracks data packets only).
-        const FLUSH_ID_BASE: u64 = 1 << 40;
-        let mut writes_since_flush = 0u64;
-        let mut flush_counter = 0u64;
         let mut events = 0u64;
 
         loop {
@@ -414,20 +406,9 @@ impl TestPlatform {
                 });
             }
 
-            // Drain completions into records/oracle/tracer first, so the
-            // closed loop can refill before the idle check below.
-            for c in ssd.drain_completions() {
-                outstanding = outstanding.saturating_sub(1);
-                if c.request_id >= FLUSH_ID_BASE {
-                    continue; // FLUSH barrier: nothing to verify
-                }
-                Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
-                if records[c.request_id as usize].completed()
-                    && records[c.request_id as usize].acked_at == Some(c.time)
-                {
-                    completed += 1;
-                }
-            }
+            // Drain before refilling, unlike the warm-up: the closed loop
+            // refills the slots this step freed before the idle check.
+            completed += host.drain(&mut ssd);
 
             // Arm the fault once enough requests completed.
             if fault.is_none() && completed >= trigger_at {
@@ -443,31 +424,9 @@ impl TestPlatform {
             // trigger (the paper's "N requests per fault" is an average).
             if device_reachable {
                 match self.config.workload.arrival {
-                    ArrivalModel::ClosedLoop { .. } => {
-                        while outstanding < queue_depth {
-                            let packet = generator.next_packet();
-                            let subs = Self::submit_packet(
-                                &mut ssd,
-                                &mut tracer,
-                                &oracle,
-                                &mut records,
-                                packet,
-                            );
-                            issued += 1;
-                            outstanding += subs;
-                            if packet.is_write {
-                                writes_since_flush += 1;
-                                if self
-                                    .config
-                                    .flush_every
-                                    .is_some_and(|n| writes_since_flush >= n)
-                                {
-                                    writes_since_flush = 0;
-                                    flush_counter += 1;
-                                    ssd.submit_flush(FLUSH_ID_BASE + flush_counter, 0);
-                                    outstanding += 1;
-                                }
-                            }
+                    ArrivalModel::ClosedLoop { queue_depth } => {
+                        while host.outstanding() < queue_depth as usize {
+                            host.submit(&mut ssd, generator.next_packet());
                         }
                     }
                     ArrivalModel::OpenLoop { .. } | ArrivalModel::OpenLoopPoisson { .. } => loop {
@@ -477,15 +436,7 @@ impl TestPlatform {
                             break;
                         }
                         pending_packet = None;
-                        let subs = Self::submit_packet(
-                            &mut ssd,
-                            &mut tracer,
-                            &oracle,
-                            &mut records,
-                            packet,
-                        );
-                        issued += 1;
-                        outstanding += subs;
+                        host.submit(&mut ssd, packet);
                     },
                 }
             }
@@ -497,29 +448,16 @@ impl TestPlatform {
                 }
             }
 
-            // Advance to the next interesting instant.
-            let mut target: Option<SimTime> = ssd.next_event();
-            if let Some(t) = next_arrival {
-                target = Some(target.map_or(t, |x| x.min(t)));
-            }
-            if let Some(timeline) = fault {
-                target = Some(target.map_or(timeline.host_lost, |x| x.min(timeline.host_lost)));
-            }
-            match target {
-                Some(t) => {
-                    let t = t.max(ssd.now() + SimDuration::from_micros(1));
-                    ssd.advance_to(t);
-                }
-                None => {
-                    // Nothing left to do. If all requests are done and no
-                    // fault was armed yet (tiny trials), arm it now.
-                    if let Some(timeline) = fault {
-                        ssd.advance_to(timeline.host_lost);
-                    } else {
-                        let commanded = ssd.now() + jitter;
-                        fault = Some(self.config.injector.timeline(commanded));
-                    }
-                }
+            // Advance to the next interesting instant. With nothing left
+            // to do and no fault armed yet (tiny trials), arm it now; an
+            // armed fault always gives the step a limit.
+            let limit = [next_arrival, fault.map(|f| f.host_lost)]
+                .into_iter()
+                .flatten()
+                .min();
+            if !ssd.step(limit) {
+                let commanded = ssd.now() + jitter;
+                fault = Some(self.config.injector.timeline(commanded));
             }
         }
 
@@ -528,12 +466,8 @@ impl TestPlatform {
 
         // The outage.
         ssd.power_fail(&timeline);
-        for c in ssd.drain_completions() {
-            if c.request_id >= FLUSH_ID_BASE {
-                continue;
-            }
-            Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
-        }
+        host.drain(&mut ssd);
+        let (records, oracle, tracer) = host.into_results();
 
         // Power restore and firmware recovery, one second after full
         // discharge (the paper power-cycles between injections). A failed
@@ -639,7 +573,7 @@ impl TestPlatform {
         Ok(TrialOutcome {
             counts,
             verdicts,
-            requests_issued: issued as u64,
+            requests_issued: records.len() as u64,
             requests_completed: completed,
             responded_iops: completed_before_fault as f64 / elapsed_s,
             fault_commanded_ms: fault_commanded.as_millis_f64(),
@@ -655,82 +589,6 @@ impl TestPlatform {
         })
     }
 
-    /// Returns the number of sub-requests submitted.
-    fn submit_packet(
-        ssd: &mut Ssd,
-        tracer: &mut BlockTracer,
-        oracle: &Oracle,
-        records: &mut Vec<RequestRecord>,
-        packet: pfault_workload::DataPacket,
-    ) -> usize {
-        debug_assert_eq!(packet.id as usize, records.len(), "ids must be dense");
-        let pre: Vec<Option<PageData>> = packet
-            .lbas()
-            .map(|l| oracle.expected(l).map(|v| v.data))
-            .collect();
-        let subs = tracer.queue_request(
-            packet.id,
-            packet.lba,
-            packet.sectors,
-            packet.is_write,
-            ssd.now(),
-        );
-        records.push(RequestRecord::new(
-            packet,
-            pre,
-            subs.len() as u32,
-            ssd.now(),
-        ));
-        let mut offset = 0u64;
-        let count = subs.len();
-        for sub in subs {
-            tracer.dispatch(packet.id, sub.sub_id, ssd.now());
-            let cmd = if packet.is_write {
-                HostCommand::write(
-                    packet.id,
-                    sub.sub_id,
-                    sub.lba,
-                    sub.sectors,
-                    packet.payload_tag,
-                )
-                .with_payload_offset(offset)
-            } else {
-                HostCommand::read(packet.id, sub.sub_id, sub.lba, sub.sectors)
-            };
-            offset += sub.sectors.get();
-            ssd.submit(cmd);
-        }
-        count
-    }
-
-    fn apply_completion(
-        tracer: &mut BlockTracer,
-        records: &mut [RequestRecord],
-        oracle: &mut Oracle,
-        c: &Completion,
-    ) {
-        let record = &mut records[c.request_id as usize];
-        if c.acked() {
-            tracer.complete(c.request_id, c.sub_id, c.time);
-            record.note_sub_ack(c.time);
-            if record.completed() && record.packet.is_write && record.acked_at == Some(c.time) {
-                // The whole request is ACKed: the host now *expects* this
-                // content on the device.
-                let packet = record.packet;
-                for (i, lba) in packet.lbas().enumerate() {
-                    oracle.acknowledge_write(
-                        lba,
-                        PageData::from_tag(packet.sector_tag(i as u64)),
-                        packet.id,
-                    );
-                }
-            }
-        } else {
-            tracer.error(c.request_id, c.sub_id, c.time);
-            record.note_sub_error();
-        }
-    }
-
     /// Convenience wrapper: a trial that never injects a fault (sanity
     /// baseline — everything must verify intact). Runs `requests` requests
     /// to completion, quiesces, and classifies.
@@ -740,34 +598,8 @@ impl TestPlatform {
         if self.config.obs {
             ssd.enable_probes();
         }
-        let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
-        let mut oracle = Oracle::new();
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let queue_depth = match self.config.workload.arrival {
-            ArrivalModel::ClosedLoop { queue_depth } => queue_depth as usize,
-            ArrivalModel::OpenLoop { .. } | ArrivalModel::OpenLoopPoisson { .. } => 64,
-        };
-        let mut issued = 0usize;
-        let mut outstanding = 0usize;
-        while issued < self.config.requests || outstanding > 0 {
-            while outstanding < queue_depth && issued < self.config.requests {
-                let packet = generator.next_packet();
-                let subs =
-                    Self::submit_packet(&mut ssd, &mut tracer, &oracle, &mut records, packet);
-                issued += 1;
-                outstanding += subs;
-            }
-            for c in ssd.drain_completions() {
-                outstanding = outstanding.saturating_sub(1);
-                Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
-            }
-            if let Some(t) = ssd.next_event() {
-                ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-            } else if outstanding > 0 {
-                ssd.advance_to(ssd.now() + SimDuration::from_millis(1));
-            }
-        }
+        let host = self.run_closed(&mut ssd, &root, self.config.requests, true);
+        let (records, oracle, _) = host.into_results();
         ssd.quiesce();
         let (verdicts, counts) = classify_all(&records, &oracle, &mut ssd);
         let probe_records = ssd.take_probe_records();
@@ -778,7 +610,7 @@ impl TestPlatform {
         TrialOutcome {
             counts,
             verdicts,
-            requests_issued: issued as u64,
+            requests_issued: records.len() as u64,
             requests_completed: records.iter().filter(|r| r.completed()).count() as u64,
             responded_iops: 0.0,
             fault_commanded_ms: 0.0,
@@ -793,12 +625,6 @@ impl TestPlatform {
             probe_records,
         }
     }
-}
-
-/// Helper for experiments that need a marker LBA far from the workload.
-#[doc(hidden)]
-pub fn marker_lba() -> Lba {
-    Lba::new(u64::MAX / 8192)
 }
 
 #[cfg(test)]
@@ -921,6 +747,24 @@ mod tests {
         let cold = TestPlatform::new(small_config());
         let warm = TestPlatform::new(small_config().with_warmup_requests(24));
         assert_ne!(cold.config_digest(), warm.config_digest());
+    }
+
+    #[test]
+    fn open_loop_trials_honour_the_flush_cadence() {
+        let mut config = small_config();
+        config.workload = WorkloadSpec::builder()
+            .wss_bytes(4 * pfault_sim::storage::GIB)
+            .arrival(ArrivalModel::OpenLoop { iops: 3000.0 })
+            .build();
+        let outcome = |flush_every| {
+            let platform = TestPlatform::new(config.with_flush_every(flush_every));
+            serde_json::to_string(&platform.run_trial(5).expect("trial runs")).unwrap()
+        };
+        assert_ne!(
+            outcome(None),
+            outcome(Some(1)),
+            "a FLUSH after every write must change an open-loop trial"
+        );
     }
 
     #[test]

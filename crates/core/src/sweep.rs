@@ -58,6 +58,7 @@ use pfault_ssd::{FaultSite, SiteSpan, SsdConfig, VerifiedContent};
 
 use crate::campaign::TrialFailures;
 use crate::error::TrialError;
+use crate::host::FLUSH_ID_BASE;
 
 /// A sorted logical→physical snapshot, as the oracle compares them.
 type MappedEntries = Vec<(Lba, Ppa)>;
@@ -272,9 +273,6 @@ struct Driven {
 pub struct Sweeper {
     config: SweepConfig,
 }
-
-/// FLUSH barriers use ids far above any data op's index.
-const FLUSH_ID_BASE: u64 = 1 << 40;
 
 /// Event-loop budget per driver run; a wedged pipeline becomes
 /// [`TrialError::WatchdogExpired`] instead of a hang.
@@ -642,27 +640,16 @@ impl Sweeper {
         }
 
         // Tail: background work (flushes, commits, checkpoints, GC) until
-        // the device goes idle or the cut arrives.
-        loop {
-            if Self::cut_reached(&ssd, cut) {
-                break;
-            }
+        // the device goes idle or the cut arrives. A cut in an idle gap
+        // is the step's limit, so the device always reaches it.
+        while !Self::cut_reached(&ssd, cut) {
             self.check_budget(&ssd, &mut events)?;
-            match ssd.next_event() {
-                None => break,
-                Some(e) => {
-                    let target = e.max(ssd.now() + SimDuration::from_micros(1));
-                    let target = cut.map_or(target, |c| target.min(c));
-                    ssd.advance_to(target);
-                }
+            if !ssd.step(cut) {
+                break;
             }
         }
 
         if let Some(t) = cut {
-            if ssd.now() < t {
-                // The cut falls in an idle gap: advance straight to it.
-                ssd.advance_to(t);
-            }
             ssd.power_fail(&FaultTimeline::at_instant(t));
         }
         ssd.drain_completions();
@@ -686,12 +673,10 @@ impl Sweeper {
             if Self::cut_reached(ssd, cut) {
                 return Ok(false);
             }
-            let target = match ssd.next_event() {
-                Some(e) => e.max(ssd.now() + SimDuration::from_micros(1)),
-                None => ssd.now() + SimDuration::from_millis(1),
-            };
-            let target = cut.map_or(target, |c| target.min(c));
-            ssd.advance_to(target);
+            if !ssd.step(cut) {
+                // Idle with the request open: a stall, so spend the budget.
+                *events = EVENT_BUDGET;
+            }
         }
     }
 

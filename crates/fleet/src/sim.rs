@@ -34,10 +34,7 @@ use pfault_obs::{Layer, ProbeEvent, ProbeLog, ProbeRecord};
 use pfault_power::{FaultInjector, PsuGroupCut};
 use pfault_sim::checksum::mix64;
 use pfault_sim::{DetRng, Lba, SectorCount, SimDuration, SimTime};
-use pfault_ssd::{
-    Completion, CompletionKind, DeviceError, HostCommand, Ssd, SsdConfig, VendorPreset,
-    VerifiedContent,
-};
+use pfault_ssd::{DeviceError, HostCommand, Ssd, SsdConfig, VendorPreset, VerifiedContent};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -474,38 +471,11 @@ impl FleetSim {
             SectorCount::new(self.config.chunk_sectors),
             write_tag(stripe, chunk, gen),
         );
-        let slot = &mut self.devices[d];
-        slot.ssd.submit(cmd);
-        let mut acked = false;
-        let mut guard = 0u32;
-        loop {
-            let done = Self::drain_for(&mut slot.ssd, req, &mut acked);
-            if done {
-                break;
-            }
-            let step = slot
-                .ssd
-                .next_event()
-                .unwrap_or(slot.ssd.now() + SimDuration::from_micros(100));
-            slot.ssd
-                .advance_to(step.max(slot.ssd.now() + SimDuration::from_micros(1)));
-            guard += 1;
-            assert!(guard < 1_000_000, "chunk write failed to complete");
-        }
-        acked
-    }
-
-    /// Drains completions looking for `req`; returns true once seen.
-    fn drain_for(ssd: &mut Ssd, req: u64, acked: &mut bool) -> bool {
-        let completions: Vec<Completion> = ssd.drain_completions();
-        let mut done = false;
-        for c in completions {
-            if c.request_id == req {
-                done = true;
-                *acked = matches!(c.kind, CompletionKind::Acked);
-            }
-        }
-        done
+        let ssd = &mut self.devices[d].ssd;
+        ssd.submit(cmd);
+        ssd.run_until_complete(req)
+            .unwrap_or_else(|| panic!("chunk write {req} stalled: device {d} went idle"))
+            .acked()
     }
 
     /// Writes every chunk of a stripe at generation `gen`. With

@@ -4,7 +4,9 @@
 //! The device is event-driven: the platform calls
 //! [`Ssd::submit`] / [`Ssd::advance_to`] / [`Ssd::drain_completions`] to run
 //! IO, and [`Ssd::power_fail`] / [`Ssd::power_on_recover`] around each
-//! injected fault. See the crate-level docs for the architecture.
+//! injected fault. Host loops advance the clock through [`Ssd::step`]
+//! (or [`Ssd::run_until_complete`] for one request at a time). See the
+//! crate-level docs for the architecture.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -898,6 +900,41 @@ impl Ssd {
         } else {
             Some(self.now + SimDuration::from_millis(5))
         }
+    }
+
+    /// One host-loop step: advances to the earlier of [`Ssd::next_event`]
+    /// and `limit`, but always at least 1 µs ahead so a loop whose
+    /// target is due now still makes progress. Returns `false` without
+    /// advancing when there is neither a pending event nor a limit (the
+    /// device is idle and nothing else is waited for).
+    pub fn step(&mut self, limit: Option<SimTime>) -> bool {
+        let Some(target) = [self.next_event(), limit].into_iter().flatten().min() else {
+            return false;
+        };
+        self.advance_to(target.max(self.now + SimDuration::from_micros(1)));
+        true
+    }
+
+    /// Drains completions, then steps, until the completion for
+    /// `request_id` arrives, and returns it. Other completions drained
+    /// on the way are dropped. Returns `None` if the device goes idle
+    /// first (the request was never accepted, or it is lost).
+    ///
+    /// # Panics
+    ///
+    /// Panics after 1 000 000 steps without the completion, the same
+    /// bound [`Ssd::quiesce`] uses.
+    pub fn run_until_complete(&mut self, request_id: u64) -> Option<Completion> {
+        for _ in 0..1_000_000 {
+            let drained = self.drain_completions();
+            if let Some(c) = drained.into_iter().find(|c| c.request_id == request_id) {
+                return Some(c);
+            }
+            if !self.step(None) {
+                return None;
+            }
+        }
+        panic!("request {request_id} did not complete within 1000000 steps");
     }
 
     /// Advances device time to `t`, processing internal events in order.
@@ -2957,20 +2994,7 @@ mod tests {
         ssd.advance_to(SimTime::from_millis(1));
         assert!(ssd.drain_completions()[0].acked());
         ssd.submit_flush(2, 0);
-        // Drive until the flush completes.
-        let mut guard = 0;
-        loop {
-            let comps = ssd.drain_completions();
-            if comps.iter().any(|c| c.request_id == 2 && c.acked()) {
-                break;
-            }
-            let next = ssd
-                .next_event()
-                .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-            ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-            guard += 1;
-            assert!(guard < 100_000, "flush failed to complete");
-        }
+        assert!(ssd.run_until_complete(2).expect("flush completes").acked());
         assert!(ssd.stats().flushes_acked > 0);
         // Instant cut right after the flush ACK: everything must survive.
         let timeline = FaultInjector::transistor().timeline(ssd.now());
@@ -3011,6 +3035,51 @@ mod tests {
             .expect("flush done");
         assert!(flush.acked());
         assert!(flush.time > before);
+    }
+
+    #[test]
+    fn step_advances_to_the_next_event_clamped_to_the_limit() {
+        let mut ssd = small_ssd();
+        // Idle, no limit: nothing to step to, and the clock stays put.
+        assert!(!ssd.step(None));
+        assert_eq!(ssd.now(), SimTime::ZERO);
+        // A target that is due now still moves the clock exactly 1 µs.
+        assert!(ssd.step(Some(SimTime::ZERO)));
+        assert_eq!(ssd.now(), SimTime::from_micros(1));
+        let cmd = HostCommand::write(1, 0, Lba::new(0), SectorCount::new(8), 0xA1);
+        ssd.submit(cmd);
+        let next = ssd.next_event().expect("the write schedules work");
+        let limit = ssd.now() + SimDuration::from_micros(2);
+        assert!(next > limit, "the front end takes longer than 2 µs");
+        assert!(ssd.step(Some(limit)));
+        assert_eq!(ssd.now(), limit);
+        assert!(ssd.step(Some(SimTime::from_secs(1))));
+        assert_eq!(ssd.now(), next);
+    }
+
+    #[test]
+    fn run_until_complete_returns_a_dead_device_error_without_stepping() {
+        let mut ssd = small_ssd();
+        let timeline = FaultInjector::transistor().timeline(SimTime::from_millis(1));
+        ssd.power_fail(&timeline);
+        let before = ssd.now();
+        let cmd = HostCommand::write(5, 0, Lba::new(0), SectorCount::new(8), 0xA2);
+        ssd.submit(cmd);
+        let c = ssd.run_until_complete(5).expect("errors at once");
+        assert_eq!(c.kind, CompletionKind::DeviceError);
+        assert_eq!(ssd.now(), before);
+    }
+
+    #[test]
+    fn run_until_complete_gives_up_on_an_idle_device() {
+        let mut ssd = small_ssd();
+        let cmd = HostCommand::write(1, 0, Lba::new(0), SectorCount::new(8), 0xA3);
+        ssd.submit(cmd);
+        assert!(ssd.run_until_complete(1).expect("write completes").acked());
+        // Request 2 was never submitted: the device drains its
+        // background work, goes idle, and the wait ends.
+        assert_eq!(ssd.run_until_complete(2), None);
+        assert_eq!(ssd.next_event(), None);
     }
 
     #[test]

@@ -25,14 +25,13 @@
 //! ```
 //! use pfault_ssd::device::{HostCommand, Ssd};
 //! use pfault_ssd::vendor::VendorPreset;
-//! use pfault_sim::{DetRng, Lba, SectorCount, SimTime};
+//! use pfault_sim::{DetRng, Lba, SectorCount};
 //!
 //! let mut ssd = Ssd::new(VendorPreset::SsdA.config(), DetRng::new(1));
 //! ssd.submit(HostCommand::write(1, 0, Lba::new(0), SectorCount::new(8), 0xFEED));
-//! ssd.advance_to(SimTime::from_millis(10));
-//! let completions = ssd.drain_completions();
-//! assert_eq!(completions.len(), 1);
-//! assert!(completions[0].acked());
+//! // Drain and step until the write's completion arrives.
+//! let ack = ssd.run_until_complete(1).expect("the write completes");
+//! assert!(ack.acked());
 //! ```
 
 #![forbid(unsafe_code)]

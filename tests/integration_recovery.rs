@@ -16,15 +16,7 @@ fn small_ssd(seed: u64) -> Ssd {
 fn write_and_wait(ssd: &mut Ssd, id: u64, lba: Lba, sectors: u64, tag: u64) -> HostCommand {
     let cmd = HostCommand::write(id, 0, lba, SectorCount::new(sectors), tag);
     ssd.submit(cmd);
-    loop {
-        if ssd.drain_completions().iter().any(|c| c.request_id == id) {
-            break;
-        }
-        let next = ssd
-            .next_event()
-            .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-        ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-    }
+    ssd.run_until_complete(id).expect("write completes");
     cmd
 }
 

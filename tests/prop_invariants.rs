@@ -310,9 +310,7 @@ proptest! {
             };
             ssd.submit(cmd);
             if i % 3 == 0 {
-                if let Some(t) = ssd.next_event() {
-                    ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-                }
+                ssd.step(None);
             }
         }
         let timeline =
@@ -368,9 +366,7 @@ proptest! {
             };
             ssd.submit(cmd);
             if i % 3 == 0 {
-                if let Some(t) = ssd.next_event() {
-                    ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
-                }
+                ssd.step(None);
             }
         }
         let timeline = FaultInjector::arduino_atx_loaded()
@@ -444,22 +440,8 @@ proptest! {
         let cmd = HostCommand::write(1, 0, Lba::new(7), SectorCount::new(sectors), seed | 1);
         ssd.submit(cmd);
         ssd.submit_flush(2, 0);
-        let mut guard = 0;
-        loop {
-            if ssd
-                .drain_completions()
-                .iter()
-                .any(|c| c.request_id == 2 && c.acked())
-            {
-                break;
-            }
-            let next = ssd
-                .next_event()
-                .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-            ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
-            guard += 1;
-            prop_assert!(guard < 1_000_000, "flush did not complete");
-        }
+        let flush = ssd.run_until_complete(2);
+        prop_assert!(flush.is_some_and(|c| c.acked()), "flush did not complete");
         // Both rigs, immediately after the FLUSH ACK.
         let timeline = FaultInjector::transistor().timeline(ssd.now());
         ssd.power_fail(&timeline);
@@ -558,10 +540,7 @@ proptest! {
                 prop_assert!(c.acked());
                 acked.push(c.request_id);
             }
-            let next = ssd
-                .next_event()
-                .unwrap_or(ssd.now() + SimDuration::from_millis(1));
-            ssd.advance_to(next.max(ssd.now() + SimDuration::from_micros(1)));
+            prop_assert!(ssd.step(None) || acked.len() == lens.len(), "device went idle");
             guard += 1;
             prop_assert!(guard < 1_000_000);
         }
